@@ -73,8 +73,11 @@ def corpus_from_file(path: str) -> tuple[tuple[str, Ring], ...]:
 
     from .errors import ValidationError
 
-    with open(path, "r", encoding="utf-8") as fh:
-        specs = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            specs = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read corpus file {path}: {exc}") from exc
     if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
         raise ValidationError("corpus file must be a JSON array of ring-spec strings")
     return tuple((spec, parse_ring_spec(spec)) for spec in specs)

@@ -39,19 +39,18 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q as p^r with p prime, or raise NonPrime."""
     if q < 2:
         raise NonPrime(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                raise NonPrime(f"{q} is not a prime power")
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise NonPrime(f"{q} is not a prime power")
-            return p, r
-    raise NonPrime(f"{q} is not a prime power")
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if p * p > q:
+        return q, 1             # no divisor up to sqrt(q): q is prime
+    r, m = 0, q                 # p is q's smallest prime factor
+    while m % p == 0:
+        m //= p
+        r += 1
+    if m != 1:
+        raise NonPrime(f"{q} is not a prime power")
+    return p, r
 
 
 # ---------------------------------------------------------------------------

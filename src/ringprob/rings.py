@@ -5,24 +5,37 @@ the additive zero.  All arithmetic is exact integer arithmetic on indices;
 rings at or below MEMO_CAP elements precompute full add/mul tables at
 construction time and are immutable afterwards.
 
-Index encodings (mixed radix, per construction):
-  ZMod(n)              index = residue
-  Field(GF(p^r))       index = base-p value of the coefficient vector,
-                       constant term least significant
-  Matrix(k, GF(q))     columns packed left to right, most significant
-                       first; within a column the top entry is most
-                       significant (entries are field element indices)
-  PolyQuotient         coefficient vector of base-ring indices, constant
-                       term least significant
-  TrivialExtension     (a, u_1..u_m) with a most significant, u_m fastest
-  Product              component indices, last factor fastest
-  Table                the raw table index
-  Quotient             cosets sorted by their minimal parent index
+Additive presentation.  Each ring lists its summands, slowest first: an
+int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
+through that ring's own operations.  An element index is exactly its
+mixed-radix digit vector over these radices, so addition and negation
+work digit by digit, and one builder (Ring._build_tables) derives both
+tables from them plus _mul on the digit generators.  A quotient ring
+reads its tables off its parent's instead.
+
+Radices per construction, slowest digit first (q = p^r):
+  ZMod(n)              (n,)             index = residue
+  Field(GF(q))         (p,)*r           coefficient vector, constant term
+                                        least significant
+  Matrix(k, GF(q))     (p,)*(r*k*k)     columns packed left to right, most
+                                        significant first; within a column
+                                        the top entry is most significant;
+                                        each entry is a field index
+  PolyQuotient         base radices * degree
+                                        coefficient vector of base indices,
+                                        constant term least significant
+  TrivialExtension     (p,)*(r*(m+1))   (a, u_1..u_m), a most significant,
+                                        u_m fastest; each a field index
+  Product              the factors' radices joined, first factor slowest
+  Table                (|R|,) opaque    the raw table index
+  Quotient             (|R|,) opaque    cosets sorted by their minimal
+                                        parent index
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from array import array
 from typing import Iterable, Iterator, Sequence
 
@@ -61,6 +74,8 @@ class Ring:
 
     size: int
     one_index: int
+    # Additive presentation, slowest summand first (see the module docstring).
+    summands: tuple
 
     # -- construction-time plumbing -----------------------------------------
 
@@ -70,26 +85,93 @@ class Ring:
         self._mul_rows: list[array] | None = None
         self._add_rows: list[array] | None = None
         self._neg_list: list[int] | None = None
+        # (stride, radix, opaque ring or None), fastest digit first
+        self._digits: list[tuple[int, int, Ring | None]] = []
+        stride = 1
+        for s in reversed(self.summands):
+            opaque = None if isinstance(s, int) else s
+            m = s if opaque is None else opaque.size
+            self._digits.append((stride, m, opaque))
+            stride *= m
         if self.size <= MEMO_CAP:
             self._build_tables()
             self._neg_list = [self._neg(i) for i in range(self.size)]
 
     def _build_tables(self) -> None:
-        rng = range(self.size)
-        code = _row_typecode(self.size)
-        self._mul_rows = [array(code, [self._mul(i, j) for j in rng]) for i in rng]
-        self._add_rows = [array(code, [self._add(i, j) for j in rng]) for i in rng]
+        """Build the add and mul tables from the additive presentation.
 
-    # -- structural operations, one set per construction ---------------------
+        Add row a: let v be a's slowest nonzero digit, at stride s, and
+        rest = a - v*s, whose row is already built.  Then a + x = rest +
+        (x + v*s), and x -> x + v*s only permutes stride-s slices within
+        each run of radix*s indices (a rotation for a cyclic digit), so the
+        row is rest's row re-sliced.
+
+        Mul row a grows digit by digit, fastest first: once row[0:s) is
+        known, row[c*s + y] = a*(c*e) + row[y] for each value c of the digit
+        at stride s, where a*(c*e) is c*(a*e) for a cyclic digit and
+        _mul(a, c*s) for an opaque one.  So _mul runs once per (a, cyclic
+        digit) and once per (a, opaque digit value), never on all pairs.
+        """
+        n = self.size
+        code = _row_typecode(n)
+        add_rows = [array(code, range(n))]
+        for a in range(1, n):
+            for stride, m, opaque in reversed(self._digits):
+                v = a // stride % m
+                if v:
+                    break
+            if opaque is None:
+                cuts = [(v * stride, m * stride), (0, v * stride)]
+            else:
+                cuts = [(t * stride, (t + 1) * stride) for t in opaque.add_row(v)]
+            prev = add_rows[a - v * stride]
+            row = array(code)
+            for base in range(0, n, m * stride):
+                for lo, hi in cuts:
+                    row += prev[base + lo:base + hi]
+            add_rows.append(row[:])     # an exact-size copy drops the slack += leaves
+        mul_rows = []
+        for a in range(n):
+            row = [0]
+            for stride, m, opaque in self._digits:
+                if opaque is None:
+                    # doubling: row[(k + c)*s + y] = k*(a*e) + row[c*s + y]
+                    step = add_rows[self._mul(a, stride)]
+                    k = 1
+                    while k < m:
+                        shift = add_rows[step[row[(k - 1) * stride]]]
+                        row += [shift[y] for y in row[:min(k, m - k) * stride]]
+                        k = min(2 * k, m)
+                else:
+                    prods = [self._mul(a, c * stride) for c in range(1, m)]
+                    row += [add_rows[x][y] for x in prods for y in row]
+            mul_rows.append(array(code, row))
+        self._add_rows = add_rows
+        self._mul_rows = mul_rows
+
+    # -- arithmetic: addition and negation digit by digit, _mul per class ----
 
     def _add(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        out = 0
+        for stride, m, opaque in self._digits:
+            x, y = i // stride % m, j // stride % m
+            out += stride * ((x + y) % m if opaque is None else opaque.add_index(x, y))
+        return out
+
+    def _neg(self, i: int) -> int:
+        out = 0
+        for stride, m, opaque in self._digits:
+            x = i // stride % m
+            out += stride * ((-x) % m if opaque is None else opaque.neg_index(x))
+        return out
 
     def _mul(self, i: int, j: int) -> int:
         raise NotImplementedError
 
-    def _neg(self, i: int) -> int:
-        raise NotImplementedError
+    @property
+    def radices(self) -> tuple[int, ...]:
+        """Radices of the element index's digits, slowest first."""
+        return tuple(m for _, m, _ in reversed(self._digits))
 
     def decode(self, i: int):
         """Structural form of element i; encode() inverts it."""
@@ -231,23 +313,12 @@ class ZModRing(Ring):
         self.n = n
         self.size = n
         self.one_index = 1
+        self.summands = (n,)
         self._init_tables()
         self._commutative = True
 
-    def _build_tables(self) -> None:
-        n = self.n
-        code = _row_typecode(n)
-        self._mul_rows = [array(code, [(i * j) % n for j in range(n)]) for i in range(n)]
-        self._add_rows = [array(code, [(i + j) % n for j in range(n)]) for i in range(n)]
-
-    def _add(self, i, j):
-        return (i + j) % self.n
-
     def _mul(self, i, j):
         return (i * j) % self.n
-
-    def _neg(self, i):
-        return (-i) % self.n
 
     def decode(self, i):
         return i
@@ -273,26 +344,12 @@ class FieldRing(Ring):
         self.field = galois_field(descriptor)
         self.size = self.field.order
         self.one_index = 1
+        self.summands = (descriptor.p,) * descriptor.r
         self._init_tables()
         self._commutative = True
 
-    def _build_tables(self) -> None:
-        gf = self.field
-        code = _row_typecode(self.size)
-        if gf.mul_table is not None:
-            self._mul_rows = [array(code, row) for row in gf.mul_table]
-            self._add_rows = [array(code, row) for row in gf.add_table]
-        else:
-            super()._build_tables()
-
-    def _add(self, i, j):
-        return self.field._add_raw(i, j)
-
     def _mul(self, i, j):
         return self.field._mul_raw(i, j)
-
-    def _neg(self, i):
-        return self.field._neg_raw(i)
 
     def decode(self, i):
         return self.field.element(i)
@@ -323,6 +380,7 @@ class MatrixRing(Ring):
         self.Q = self.q ** k          # one packed column
         self.size = self.q ** (k * k)
         self.one_index = self._encode_identity()
+        self.summands = (descriptor.p,) * (descriptor.r * k * k)
         self._init_tables()
         self._commutative = (k == 1)
 
@@ -366,16 +424,6 @@ class MatrixRing(Ring):
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _add(self, i, j):
-        gf = self.field
-        a, b = self.decode(i), self.decode(j)
-        return self.encode(tuple(tuple(gf.add(x, y) for x, y in zip(ra, rb))
-                                 for ra, rb in zip(a, b)))
-
-    def _neg(self, i):
-        gf = self.field
-        return self.encode(tuple(tuple(gf.neg(x) for x in row) for row in self.decode(i)))
-
     def _mul(self, i, j):
         gf = self.field
         k = self.k
@@ -390,67 +438,6 @@ class MatrixRing(Ring):
                 row.append(s)
             out.append(tuple(row))
         return self.encode(tuple(out))
-
-    def _build_tables(self) -> None:
-        if self.k == 1:
-            super()._build_tables()
-            return
-        # Column-packed build: A*B combines per-column images of A, and
-        # addition combines a Q*Q column-sum table.  q^(2k) <= q^(k*k) <=
-        # MEMO_CAP here, so the field tables always exist.
-        k, q, Q, n = self.k, self.q, self.Q, self.size
-        gf = self.field
-        fadd, fmul = gf.add_table, gf.mul_table
-        code = _row_typecode(n)
-        vecs = [self._colvec(c) for c in range(Q)]
-        colcodes = [self._colcodes(i) for i in range(n)]
-        decoded = [self.decode(i) for i in range(n)]
-
-        mul_rows = []
-        for a in range(n):
-            arows = decoded[a]
-            amap = [0] * Q
-            for c in range(Q):
-                v = vecs[c]
-                acc = 0
-                for r in range(k):
-                    ar = arows[r]
-                    s = 0
-                    for t in range(k):
-                        s = fadd[s][fmul[ar[t]][v[t]]]
-                    acc = acc * q + s
-                amap[c] = acc
-            vals = []
-            for b in range(n):
-                idx = 0
-                for cc in colcodes[b]:
-                    idx = idx * Q + amap[cc]
-                vals.append(idx)
-            mul_rows.append(array(code, vals))
-        self._mul_rows = mul_rows
-
-        coladd = [[0] * Q for _ in range(Q)]
-        for c1 in range(Q):
-            v1 = vecs[c1]
-            row = coladd[c1]
-            for c2 in range(Q):
-                v2 = vecs[c2]
-                acc = 0
-                for t in range(k):
-                    acc = acc * q + fadd[v1[t]][v2[t]]
-                row[c2] = acc
-        add_rows = []
-        for a in range(n):
-            ca = colcodes[a]
-            vals = []
-            for b in range(n):
-                cb = colcodes[b]
-                idx = 0
-                for t in range(k):
-                    idx = idx * Q + coladd[ca[t]][cb[t]]
-                vals.append(idx)
-            add_rows.append(array(code, vals))
-        self._add_rows = add_rows
 
     def describe(self):
         return f"M{self.k}(GF{self.q})"
@@ -491,6 +478,7 @@ class PolyQuotientRing(Ring):
         self.degree = len(modulus) - 1
         self.size = base.size ** self.degree
         self.one_index = base.one_index  # constant coefficient digit
+        self.summands = base.summands * self.degree
         self._label = label
         self._init_tables()
         self._commutative = True
@@ -509,15 +497,6 @@ class PolyQuotientRing(Ring):
         for c in reversed(tuple(form)):
             idx = idx * s + c
         return idx
-
-    def _add(self, i, j):
-        base = self.base
-        a, b = self.decode(i), self.decode(j)
-        return self.encode(base.add_index(x, y) for x, y in zip(a, b))
-
-    def _neg(self, i):
-        base = self.base
-        return self.encode(base.neg_index(c) for c in self.decode(i))
 
     def _mul(self, i, j):
         base = self.base
@@ -568,6 +547,7 @@ class TrivialExtensionRing(Ring):
         self.m = m
         self.size = self.q ** (m + 1)
         self.one_index = self.q ** m          # (1, 0, ..., 0)
+        self.summands = (descriptor.p,) * (descriptor.r * (m + 1))
         self._init_tables()
         self._commutative = True
 
@@ -585,16 +565,6 @@ class TrivialExtensionRing(Ring):
         for c in u:
             idx = idx * self.q + c
         return idx
-
-    def _add(self, i, j):
-        gf = self.field
-        (a, u), (b, v) = self.decode(i), self.decode(j)
-        return self.encode((gf.add(a, b), tuple(gf.add(x, y) for x, y in zip(u, v))))
-
-    def _neg(self, i):
-        gf = self.field
-        a, u = self.decode(i)
-        return self.encode((gf.neg(a), tuple(gf.neg(x) for x in u)))
 
     def _mul(self, i, j):
         gf = self.field
@@ -630,6 +600,7 @@ class ProductRing(Ring):
         for f in factors:
             self.size *= f.size
         self.one_index = self.encode(tuple(f.one_index for f in factors))
+        self.summands = tuple(s for f in factors for s in f.summands)
         self._init_tables()
         self._commutative = all(f.is_commutative() for f in factors)
 
@@ -646,15 +617,6 @@ class ProductRing(Ring):
         for f, c in zip(self.factors, form):
             idx = idx * f.size + c
         return idx
-
-    def _add(self, i, j):
-        a, b = self.decode(i), self.decode(j)
-        return self.encode(tuple(f.add_index(x, y)
-                                 for f, x, y in zip(self.factors, a, b)))
-
-    def _neg(self, i):
-        return self.encode(tuple(f.neg_index(x)
-                                 for f, x in zip(self.factors, self.decode(i))))
 
     def _mul(self, i, j):
         a, b = self.decode(i), self.decode(j)
@@ -675,6 +637,12 @@ class ProductRing(Ring):
                 text = f"({text})"
             parts.append(text)
         return "(" + ",".join(parts) + ")"
+
+
+def _opaque_self(ring: Ring) -> tuple:
+    """Summands of a ring with no known digit decomposition: the ring itself
+    as one opaque digit, held by a weak proxy so it forms no reference cycle."""
+    return (weakref.proxy(ring),)
 
 
 class TableRing(Ring):
@@ -742,10 +710,7 @@ class TableRing(Ring):
                     if mul[add[j][k]][i] != add[mul[j][i]][mul[k][i]]:
                         raise ValidationError("right distributivity fails")
 
-    def _build_tables(self) -> None:
-        code = _row_typecode(self.size)
-        self._mul_rows = [array(code, row) for row in self._table_mul]
-        self._add_rows = [array(code, row) for row in self._table_add]
+    summands = property(_opaque_self)
 
     def _add(self, i, j):
         return self._table_add[i][j]
@@ -801,6 +766,20 @@ class QuotientRing(Ring):
         self.one_index = self._qidx[cmap[parent.one_index]]
         self._assert_well_defined()
         self._init_tables()
+
+    summands = property(_opaque_self)
+
+    def _build_tables(self) -> None:
+        # Cosets add and multiply through their representatives: row i is
+        # the parent's row of representative i, read at every representative
+        # and mapped to cosets.
+        code = _row_typecode(self.size)
+        coset = [self._qidx[rep] for rep in self._cmap]
+        reps = self._reps
+        self._add_rows = [array(code, [coset[row[r]] for r in reps])
+                          for row in map(self.parent.add_row, reps)]
+        self._mul_rows = [array(code, [coset[row[r]] for r in reps])
+                          for row in map(self.parent.mul_row, reps)]
 
     def _assert_well_defined(self) -> None:
         parent, cmap = self.parent, self._cmap
@@ -970,8 +949,12 @@ def table_ring_from_json(path: str) -> TableRing:
         one = int(payload["one"])
         add = payload["add"]
         mul = payload["mul"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"table ring JSON missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"table ring JSON missing or malformed field: {exc}") from exc
+    for name, tab in (("add", add), ("mul", mul)):
+        if not (isinstance(tab, list) and all(
+                isinstance(row, list) and all(type(x) is int for x in row) for row in tab)):
+            raise ValidationError(f"table ring JSON: {name} must be a list of lists of ints")
     if len(add) != size or len(mul) != size:
         raise ValidationError("table ring JSON: declared size does not match tables")
     return TableRing(add, mul, one, source_path=path)

@@ -178,6 +178,35 @@ class TestExitOnFailure:
         assert "expected: 1/4" in out and "actual:   1/8" in out
 
 
+class TestMalformedInput:
+    """Bad files and huge specs end in a documented exit code, not exit 1."""
+
+    @pytest.mark.parametrize("add", [5, [[0, 1], [1, "0"]]],
+                             ids=["add-not-a-table", "non-integer-entry"])
+    def test_malformed_table_json_is_usage_error(self, capsys, tmp_path, add):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps({"size": 2, "one": 1, "add": add,
+                                    "mul": [[0, 0], [0, 1]]}))
+        code, _, err = run_cli(capsys, "prob", "--ring", f"table:{path}", "--x", "0")
+        assert code == 2
+        assert "list of lists of ints" in err
+
+    @pytest.mark.parametrize("content", [None, "[\"Z4\",", "\udcff"],
+                             ids=["missing", "bad-json", "not-utf8"])
+    def test_unreadable_corpus_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "corpus.json"
+        if content is not None:
+            path.write_bytes(content.encode("utf-8", "surrogateescape"))
+        code, _, err = run_cli(capsys, "verify", "--corpus", str(path))
+        assert code == 2
+        assert "cannot read corpus file" in err
+
+    def test_huge_prime_field_hits_size_cap(self, capsys):
+        code, _, err = run_cli(capsys, "prob", "--ring", "GF1000000007", "--x", "0")
+        assert code == 3
+        assert "cap" in err
+
+
 class TestUsage:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

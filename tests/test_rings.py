@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ringprob.corpus import default_corpus, upper_triangular_tables
+from ringprob.corpus import default_corpus, fixture_path, upper_triangular_tables
 from ringprob.errors import (
     ImproperIdeal,
     MixedRings,
@@ -13,8 +13,13 @@ from ringprob.errors import (
     ValidationError,
 )
 from ringprob.rings import (
+    FieldRing,
+    MatrixRing,
+    PolyQuotientRing,
     ProductRing,
     TableRing,
+    TrivialExtensionRing,
+    ZModRing,
     chain_ring,
     field_ring,
     galois_ring,
@@ -26,6 +31,7 @@ from ringprob.rings import (
     trivial_extension,
     zmod,
 )
+from ringprob.specparse import parse_ring_spec
 
 
 class TestSizes:
@@ -288,8 +294,39 @@ class TestConstructionValidation:
             field_ring(6)
 
 
+def addition_oracle(ring):
+    """add(i, j) for ring: decode both operands, add component by component
+    with the field or base-ring operations, and encode the sum."""
+    if isinstance(ring, ZModRing):
+        return lambda i, j: (i + j) % ring.n
+    if isinstance(ring, TableRing):
+        return lambda i, j: ring._table_add[i][j]
+    forms = [ring.decode(i) for i in range(ring.size)]
+    if isinstance(ring, FieldRing):
+        return lambda i, j: ring.encode(forms[i] + forms[j])
+    if isinstance(ring, MatrixRing):
+        fadd = ring.field.add
+        return lambda i, j: ring.encode(tuple(
+            tuple(map(fadd, ra, rb)) for ra, rb in zip(forms[i], forms[j])))
+    if isinstance(ring, TrivialExtensionRing):
+        fadd = ring.field.add
+        return lambda i, j: ring.encode((fadd(forms[i][0], forms[j][0]),
+                                         tuple(map(fadd, forms[i][1], forms[j][1]))))
+    if isinstance(ring, PolyQuotientRing):
+        base = addition_oracle(ring.base)
+        return lambda i, j: ring.encode(tuple(map(base, forms[i], forms[j])))
+    if isinstance(ring, ProductRing):
+        parts = [addition_oracle(f) for f in ring.factors]
+        return lambda i, j: ring.encode(tuple(
+            add(x, y) for add, x, y in zip(parts, forms[i], forms[j])))
+    raise TypeError(f"no addition oracle for {ring.describe()}")
+
+
+EXTRA_ORACLE_SPECS = ["GR(3,2,2)", "chain(4,3)", "M2(GF5)", "triv(4,2)", "table:<fixture> x Z3"]
+
+
 class TestMemoTables:
-    """The fast table builders must agree with the structural operations."""
+    """The built tables must agree with the structural operations."""
 
     @pytest.mark.parametrize("ring_factory", [
         lambda: matrix_ring(3, 2),
@@ -305,6 +342,38 @@ class TestMemoTables:
                  for _ in range(300)]
         for i, j in pairs:
             assert ring.mul_index(i, j) == ring._mul(i, j)
-            assert ring.add_index(i, j) == ring._add(i, j)
-        for i in {i for i, _ in pairs}:
-            assert ring.neg_index(i) == ring._neg(i)
+
+    @pytest.mark.parametrize("spec", [name for name, _ in default_corpus()] + EXTRA_ORACLE_SPECS)
+    def test_tables_match_addition_oracle(self, spec):
+        """Every sum and negative of every ring; sampled sums through the
+        untabled digitwise path, and sampled products."""
+        corpus = dict(default_corpus())
+        ring = corpus.get(spec) or parse_ring_spec(spec.replace("<fixture>", fixture_path()))
+        add = addition_oracle(ring)
+        n = ring.size
+        for i in range(n):
+            assert list(ring.add_row(i)) == [add(i, j) for j in range(n)]
+            assert add(i, ring.neg_index(i)) == 0
+        rnd = random.Random(11)
+        for _ in range(300):
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            assert ring._add(i, j) == add(i, j)
+            assert ring.mul_index(i, j) == ring._mul(i, j)
+
+    @pytest.mark.parametrize("ring_factory, cls", [
+        (lambda: chain_ring(2, 5), PolyQuotientRing),
+        (lambda: matrix_ring(2, 2), MatrixRing),
+    ])
+    def test_build_calls_mul_only_on_generators(self, ring_factory, cls, monkeypatch):
+        """The table build calls _mul on (a, digit generator) pairs only,
+        never on all |R|^2 pairs."""
+        calls = []
+        structural = cls._mul
+
+        def counted(self, i, j):
+            calls.append((i, j))
+            return structural(self, i, j)
+
+        monkeypatch.setattr(cls, "_mul", counted)
+        ring = ring_factory()
+        assert 0 < len(calls) <= ring.size * len(ring.radices)
