@@ -10,8 +10,9 @@ int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
 through that ring's own operations.  An element index is exactly its
 mixed-radix digit vector over these radices, so addition and negation
 work digit by digit, and one builder (Ring._build_tables) derives both
-tables from them plus _mul on the digit generators.  A quotient ring
-reads its tables off its parent's instead.
+tables from them plus _mul on the digit generators.  A table ring copies
+its given tables and a quotient ring reads its tables off its parent's;
+each is one opaque digit of any ring built over it.
 
 Radices per construction, slowest digit first (q = p^r):
   ZMod(n)              (n,)             index = residue
@@ -35,7 +36,6 @@ Radices per construction, slowest digit first (q = p^r):
 from __future__ import annotations
 
 import json
-import weakref
 from array import array
 from typing import Iterable, Iterator, Sequence
 
@@ -93,6 +93,7 @@ class Ring:
             m = s if opaque is None else opaque.size
             self._digits.append((stride, m, opaque))
             stride *= m
+        self._cyclic = self.summands == (self.size,)
         if self.size <= MEMO_CAP:
             self._build_tables()
             self._neg_list = [self._neg(i) for i in range(self.size)]
@@ -152,17 +153,29 @@ class Ring:
     # -- arithmetic: addition and negation digit by digit, _mul per class ----
 
     def _add(self, i: int, j: int) -> int:
+        if self._cyclic:
+            # one cyclic digit (Z_n): the loop below as a single modulo,
+            # since an untabled Z_n pays this on every call
+            return (i + j) % self.size
+        # i // stride carries the slower digits only as multiples of m, which
+        # a cyclic digit's own reduction mod m drops.
         out = 0
         for stride, m, opaque in self._digits:
-            x, y = i // stride % m, j // stride % m
-            out += stride * ((x + y) % m if opaque is None else opaque.add_index(x, y))
+            if opaque is None:
+                out += (i // stride + j // stride) % m * stride
+            else:
+                out += opaque.add_index(i // stride % m, j // stride % m) * stride
         return out
 
     def _neg(self, i: int) -> int:
+        if self._cyclic:
+            return -i % self.size
         out = 0
         for stride, m, opaque in self._digits:
-            x = i // stride % m
-            out += stride * ((-x) % m if opaque is None else opaque.neg_index(x))
+            if opaque is None:
+                out += -(i // stride) % m * stride
+            else:
+                out += opaque.neg_index(i // stride % m) * stride
         return out
 
     def _mul(self, i: int, j: int) -> int:
@@ -639,12 +652,6 @@ class ProductRing(Ring):
         return "(" + ",".join(parts) + ")"
 
 
-def _opaque_self(ring: Ring) -> tuple:
-    """Summands of a ring with no known digit decomposition: the ring itself
-    as one opaque digit, held by a weak proxy so it forms no reference cycle."""
-    return (weakref.proxy(ring),)
-
-
 class TableRing(Ring):
     """Ring given by explicit Cayley tables; fully audited at load."""
 
@@ -663,6 +670,7 @@ class TableRing(Ring):
         self._table_add = add_t
         self._table_mul = mul_t
         self.source_path = source_path
+        self.summands = (self,)
         self._init_tables()
 
     @staticmethod
@@ -710,7 +718,10 @@ class TableRing(Ring):
                     if mul[add[j][k]][i] != add[mul[j][i]][mul[k][i]]:
                         raise ValidationError("right distributivity fails")
 
-    summands = property(_opaque_self)
+    def _build_tables(self) -> None:
+        code = _row_typecode(self.size)
+        self._mul_rows = [array(code, row) for row in self._table_mul]
+        self._add_rows = [array(code, row) for row in self._table_add]
 
     def _add(self, i, j):
         return self._table_add[i][j]
@@ -765,9 +776,8 @@ class QuotientRing(Ring):
         self.size = len(reps)
         self.one_index = self._qidx[cmap[parent.one_index]]
         self._assert_well_defined()
+        self.summands = (self,)
         self._init_tables()
-
-    summands = property(_opaque_self)
 
     def _build_tables(self) -> None:
         # Cosets add and multiply through their representatives: row i is

@@ -322,7 +322,9 @@ def addition_oracle(ring):
     raise TypeError(f"no addition oracle for {ring.describe()}")
 
 
-EXTRA_ORACLE_SPECS = ["GR(3,2,2)", "chain(4,3)", "M2(GF5)", "triv(4,2)", "table:<fixture> x Z3"]
+EXTRA_ORACLE_SPECS = [
+    "GR(3,2,2)", "chain(4,3)", "M2(GF4)", "M2(GF5)", "triv(4,2)", "table:<fixture> x Z3",
+]
 
 
 class TestMemoTables:
