@@ -4,9 +4,15 @@ are reported with both fractions."""
 import pytest
 
 from ringprob import verify
-from ringprob.closedform import FormulaResult
+from ringprob.closedform import (
+    NONZERO_RADICAL,
+    NONZERO_ZERO_DIVISOR,
+    ZERO_CLASS,
+    FormulaResult,
+)
 from ringprob.errors import ValidationError
 from ringprob.probability import ProbFraction
+from ringprob.rings import ProductRing, QuotientRing, ZModRing
 from ringprob.verify import SUITES, run_suites
 
 
@@ -75,6 +81,111 @@ class TestFailureReporting:
         monkeypatch.setattr(verify, "annsum_counts", wrong_annsum)
         results = run_suites(["lemma23"])
         assert not results[0].passed
+
+
+NOTHING = (ProbFraction(0, 1), ProbFraction(0, 1))
+
+
+def _bump(orig, at, when=lambda ring: True):
+    """pair_counts with one more hit at index at(ring) on the rings `when` picks."""
+    def counts(ring, cap=None):
+        result = orig(ring, cap=cap)
+        if not when(ring):
+            return result
+        bumped = list(result)
+        bumped[at(ring)] += 1
+        return tuple(bumped)
+    return counts
+
+
+def _wrong_formula(orig):
+    return lambda *args: FormulaResult(value=ProbFraction(0, 1), formula="x", applicability={})
+
+
+def _bounds_off_for(x_class):
+    return lambda orig: (lambda ring, cls: NOTHING if cls == x_class else orig(ring, cls))
+
+
+def _matrix_units_off(orig):
+    def formula(cls):
+        result = orig(cls)
+        if cls.rank < cls.dim:
+            return result
+        value = ProbFraction(result.value.hits + 1, result.value.total)
+        return FormulaResult(value=value, formula=result.formula, applicability={})
+    return formula
+
+
+def _is_crt_composite(ring):
+    return isinstance(ring, ZModRing) and len(verify._factorize(ring.n)) >= 2
+
+
+# key -> (suite, name patched in verify, patch factory taking the original,
+#         number of FAIL cases, (case, detail, expected, actual) of the first)
+SABOTAGE = {
+    "lemma21": ("lemma21", "left_right_symmetry_check", lambda orig: lambda ring: False,
+                28, ("Z2", "one-sided zero-divisor found", "", "")),
+    "lemma23": ("lemma23", "annsum_counts", lambda orig: _bump(orig, lambda r: 0),
+                28, ("Z2", "engines disagree at x=#0", "3/4", "1/1")),
+    "lemma24-unit": ("lemma24", "pair_counts", lambda orig: _bump(orig, lambda r: r.size - 1),
+                     24, ("Z2", "unit law fails at x=#1", "1/4 iff unit", "1/2")),
+    "lemma24-zero": ("lemma24", "general_bounds", _bounds_off_for(ZERO_CLASS),
+                     28, ("Z2", "zero-target probability outside bounds", "[0/1, 0/1]", "3/4")),
+    "lemma24-zd": ("lemma24", "general_bounds", _bounds_off_for(NONZERO_ZERO_DIVISOR),
+                   21, ("Z4", "bounds fail at x=#2", "[0/1, 0/1]", "1/4")),
+    "lemma25-product": ("lemma25", "pair_counts",
+                        lambda orig: _bump(orig, lambda r: 1,
+                                           lambda r: isinstance(r, ProductRing)),
+                        2, ("Z2 x Z4", "product law fails at x=#1", "3/32", "7/64")),
+    "lemma25-crt": ("lemma25", "pair_counts",
+                    lambda orig: _bump(orig, lambda r: 1, _is_crt_composite),
+                    2, ("Z6", "CRT product law fails at x=1", "1/18", "1/12")),
+    "lemma26": ("lemma26", "pair_counts",
+                lambda orig: _bump(orig, lambda r: 0,
+                                   lambda r: not isinstance(r, QuotientRing)),
+                28, ("Z2", "quotient bound fails at x=#0, |I|=1", "at most 3/4", "1/1")),
+    "lemma31": ("lemma31", "subspace_count", lambda orig: lambda *a: orig(*a) + 1,
+                8, ("q=2,n=1", "count mismatch at r=0, k=0", "2", "1")),
+    "thm32": ("thm32", "prob_matrix_formula", _matrix_units_off,
+              6, ("M1(GF2)", "formula misses x=#1 (rank 1)", "1/2", "1/4")),
+    "lemma41": ("lemma41", "ideal_size_power_check", lambda orig: lambda ring: False,
+                20, ("Z2", "ideal size is not a power of q", "", "")),
+    "thm42-zero": ("thm42", "local_bounds", _bounds_off_for(ZERO_CLASS),
+                   13, ("Z4", "zero-target outside bounds", "[0/1, 0/1]", "1/2")),
+    "thm42-unit": ("thm42", "pair_counts", lambda orig: _bump(orig, lambda r: r.one_index),
+                   13, ("Z4", "unit value fails at x=#1", "1/8", "3/16")),
+    "thm42-radical": ("thm42", "local_bounds", _bounds_off_for(NONZERO_RADICAL),
+                      13, ("Z4", "radical member x=#2 outside bounds", "[0/1, 0/1]", "1/4")),
+    "cor43": ("cor43", "corollary_43_predicates",
+              lambda orig: lambda ring: (True, False, True, True),
+              13, ("Z4", "predicates are not equivalent", "all equal",
+                   "(True, False, True, True)")),
+    "cor44": ("cor44", "corollary_44_predicate", lambda orig: lambda ring: (True, False),
+              20, ("Z2", "sides disagree", "square-zero radical=False", "extremal=True")),
+    "lemma45": ("lemma45", "unit_plus_radical_check", lambda orig: lambda ring: False,
+                28, ("Z2", "unit + radical member is not a unit", "", "")),
+    "thm46": ("thm46", "prob_chain_formula", _wrong_formula,
+              17, ("Z2", "chain formula fails at x=#0", "0/1", "3/4")),
+    "remark_zn": ("remark_zn", "prob_zn", _wrong_formula,
+                  29, ("Z2", "split formula fails at x=0", "0/1", "3/4")),
+    "thm48": ("thm48", "prob_j2zero_formula", _wrong_formula,
+              16, ("Z2", "square-zero formula fails at x=#0", "0/1", "3/4")),
+}
+
+
+class TestSabotageStrings:
+    """Every suite's failure report under a sabotaged formula, bound or
+    engine: how many cases fail, and the first one string for string."""
+
+    @pytest.mark.parametrize("key", list(SABOTAGE))
+    def test_first_failure(self, monkeypatch, key):
+        suite, name, patch, fails, first = SABOTAGE[key]
+        monkeypatch.setattr(verify, name, patch(getattr(verify, name)))
+        cases = run_suites([suite])[0].cases
+        failing = [(c.case, c.detail, c.expected, c.actual)
+                   for c in cases if c.status == "FAIL"]
+        assert len(failing) == fails
+        assert failing[0] == first
 
 
 class TestSubspaceOracle:
