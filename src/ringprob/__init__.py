@@ -72,26 +72,22 @@ from .rings import (
     Ring,
     RingElement,
     chain_ring,
+    check_size_cap,
     field_ring,
     galois_ring,
     matrix_ring,
     product,
     quotient_make,
-    ring_add,
     ring_enumerate,
-    ring_mul,
-    ring_neg,
-    ring_size,
     table_ring,
     table_ring_from_json,
     trivial_extension,
     zmod,
 )
-from .specparse import parse_element, parse_ring_spec, render_ring_spec
+from .specparse import parse_element, parse_ring_spec
 from .structure import (
     Ideal,
     StructureReport,
-    classify_local,
     ideal_size_power_check,
     jacobson_radical,
     left_right_symmetry_check,

@@ -14,7 +14,7 @@ from .closedform import prob_auto, prob_formula
 from .corpus import corpus_from_file, default_corpus
 from .errors import RingProbError, SizeCapExceeded, ValidationError
 from .probability import ProbFraction, prob_annsum, prob_brute, spectrum
-from .rings import DEFAULT_SIZE_CAP, Ring
+from .rings import DEFAULT_SIZE_CAP, check_size_cap
 from .specparse import parse_element, parse_ring_spec
 from .structure import structure_report
 from .verify import SUITES, run_suites
@@ -25,9 +25,9 @@ EXIT_USAGE = 2
 EXIT_SIZE_CAP = 3
 
 
-def _check_cap(ring: Ring, force: bool) -> None:
-    if not force and ring.size > DEFAULT_SIZE_CAP:
-        raise SizeCapExceeded(ring.size, DEFAULT_SIZE_CAP)
+def _cap(args) -> int | None:
+    """The size cap a command enforces: none under --force."""
+    return None if args.force else DEFAULT_SIZE_CAP
 
 
 def _scaled_hits(value: ProbFraction, size: int) -> int:
@@ -41,7 +41,7 @@ def _scaled_hits(value: ProbFraction, size: int) -> int:
 
 def cmd_prob(args) -> int:
     ring = parse_ring_spec(args.ring)
-    _check_cap(ring, args.force)
+    check_size_cap(ring, _cap(args))
     x = parse_element(ring, args.x)
     method = args.method
     formula_tag = None
@@ -77,7 +77,7 @@ def cmd_prob(args) -> int:
 
 def cmd_spectrum(args) -> int:
     ring = parse_ring_spec(args.ring)
-    _check_cap(ring, args.force)
+    check_size_cap(ring, _cap(args))
     report = spectrum(ring, cap=None)
     rows = [
         {
@@ -111,7 +111,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_structure(args) -> int:
     ring = parse_ring_spec(args.ring)
-    _check_cap(ring, args.force)
+    check_size_cap(ring, _cap(args))
     rep = structure_report(ring)
     payload = {
         "size": ring.size,
@@ -134,10 +134,8 @@ def cmd_verify(args) -> int:
         corpus = default_corpus()
     else:
         corpus = corpus_from_file(args.corpus)
-    if not args.force:
-        for name, ring in corpus:
-            if ring.size > DEFAULT_SIZE_CAP:
-                raise SizeCapExceeded(ring.size, DEFAULT_SIZE_CAP)
+    for _, ring in corpus:
+        check_size_cap(ring, _cap(args))
     suite_ids = None if args.suite == "all" else [args.suite]
     results = run_suites(suite_ids, corpus)
 

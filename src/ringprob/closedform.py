@@ -19,8 +19,8 @@ from .errors import (
     ValidationError,
 )
 from .finfield import factor_prime_power
-from .probability import ProbFraction, _check_cap, _index_of, pair_counts, prob_annsum
-from .rings import DEFAULT_SIZE_CAP, MatrixRing, ProductRing, Ring, RingElement
+from .probability import ProbFraction, _index_of, pair_counts, prob_annsum
+from .rings import DEFAULT_SIZE_CAP, MatrixRing, ProductRing, Ring, RingElement, check_size_cap
 from .structure import structure_report
 
 ZERO_CLASS = "zero"
@@ -314,7 +314,7 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
 def prob_auto(ring: Ring, x: RingElement | int,
               cap: int | None = DEFAULT_SIZE_CAP) -> FormulaResult:
     """Formula dispatch with the annihilator-sum engine as the fallback."""
-    _check_cap(ring, cap)
+    check_size_cap(ring, cap)
     try:
         return prob_formula(ring, x)
     except FormulaUnavailable:

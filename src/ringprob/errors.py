@@ -33,7 +33,11 @@ class SizeCapExceeded(RingProbError):
     """Ring is larger than the enumeration size cap."""
 
     def __init__(self, size: int, cap: int):
-        super().__init__(f"ring has {size} elements, above the cap of {cap} "
+        try:
+            count = str(size)
+        except ValueError:      # more digits than int-to-str conversion allows
+            count = f"at least 2^{size.bit_length() - 1}"
+        super().__init__(f"ring has {count} elements, above the cap of {cap} "
                          f"(use --force / cap=None to override)")
         self.size = size
         self.cap = cap

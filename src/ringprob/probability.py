@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
-from .errors import MixedRings, SizeCapExceeded, ValidationError
-from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement
+from .errors import MixedRings, ValidationError
+from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement, check_size_cap
 from .structure import StructureReport, structure_report
 
 
@@ -90,11 +89,6 @@ def _index_of(ring: Ring, x: RingElement | int) -> int:
     return i
 
 
-def _check_cap(ring: Ring, cap: int | None) -> None:
-    if cap is not None and ring.size > cap:
-        raise SizeCapExceeded(ring.size, cap)
-
-
 def delta(a: RingElement, x: RingElement) -> int:
     """1 if some b solves ab = x, else 0 (scan over the full row)."""
     ring = a.ring
@@ -105,7 +99,7 @@ def delta(a: RingElement, x: RingElement) -> int:
 def prob_brute(ring: Ring, x: RingElement | int,
                cap: int | None = DEFAULT_SIZE_CAP) -> ProbFraction:
     """Definitional oracle: count ordered pairs (a, b) with ab = x."""
-    _check_cap(ring, cap)
+    check_size_cap(ring, cap)
     xi = _index_of(ring, x)
     n = ring.size
     hits = 0
@@ -117,7 +111,7 @@ def prob_brute(ring: Ring, x: RingElement | int,
 def prob_annsum(ring: Ring, x: RingElement | int,
                 cap: int | None = DEFAULT_SIZE_CAP) -> ProbFraction:
     """Annihilator-sum engine: add |ann_r(a)| whenever x lies in aR."""
-    _check_cap(ring, cap)
+    check_size_cap(ring, cap)
     xi = _index_of(ring, x)
     n = ring.size
     hits = 0
@@ -128,25 +122,22 @@ def prob_annsum(ring: Ring, x: RingElement | int,
     return ProbFraction(hits, n * n)
 
 
-@lru_cache(maxsize=None)
-def _pair_counts(ring: Ring) -> tuple[int, ...]:
-    n = ring.size
-    counts = [0] * n
-    for a in range(n):
-        for v in ring.mul_row(a):
-            counts[v] += 1
-    return tuple(counts)
-
-
 def pair_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
-    """Hit count per product index from one pass over all ordered pairs."""
-    _check_cap(ring, cap)
-    return _pair_counts(ring)
+    """Hit count per product index from one pass over all ordered pairs;
+    memoized on the ring instance."""
+    check_size_cap(ring, cap)
+    if ring._pair_counts is None:
+        counts = [0] * ring.size
+        for a in range(ring.size):
+            for v in ring.mul_row(a):
+                counts[v] += 1
+        ring._pair_counts = tuple(counts)
+    return ring._pair_counts
 
 
 def annsum_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
     """All-x analogue of prob_annsum in one sweep (for cross-validation)."""
-    _check_cap(ring, cap)
+    check_size_cap(ring, cap)
     n = ring.size
     counts = [0] * n
     for a in range(n):

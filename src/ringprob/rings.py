@@ -2,8 +2,8 @@
 
 Every construction assigns each element an index in [0, |R|) with index 0
 the additive zero.  All arithmetic is exact integer arithmetic on indices;
-rings at or below MEMO_CAP elements precompute full add/mul tables at
-construction time and are immutable afterwards.
+rings at or below DEFAULT_SIZE_CAP elements precompute full add/mul tables
+at construction time and are immutable afterwards.
 
 Additive presentation.  Each ring lists its summands, slowest first: an
 int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
@@ -55,14 +55,12 @@ from .finfield import (
     is_prime,
 )
 
-# Full |R| x |R| operation tables are frozen at construction up to this size.
-MEMO_CAP = 4096
+# Rings up to this size get full |R| x |R| operation tables at construction,
+# and the enumeration engines refuse larger ones unless given cap=None.
+DEFAULT_SIZE_CAP = 4096
 
 # Explicit Cayley-table rings are audited in O(N^3); keep them small.
 TABLE_RING_CAP = 256
-
-# Default guard for pair-enumeration engines; None disables.
-DEFAULT_SIZE_CAP = 4096
 
 
 def _row_typecode(size: int) -> str:
@@ -82,6 +80,9 @@ class Ring:
     def _init_tables(self) -> None:
         self._hash: int | None = None
         self._commutative: bool | None = None
+        # per-ring memos of structure_report and pair_counts
+        self._structure = None
+        self._pair_counts: tuple[int, ...] | None = None
         self._mul_rows: list[array] | None = None
         self._add_rows: list[array] | None = None
         self._neg_list: list[int] | None = None
@@ -94,7 +95,7 @@ class Ring:
             self._digits.append((stride, m, opaque))
             stride *= m
         self._cyclic = self.summands == (self.size,)
-        if self.size <= MEMO_CAP:
+        if self.size <= DEFAULT_SIZE_CAP:
             self._build_tables()
             self._neg_list = [self._neg(i) for i in range(self.size)]
 
@@ -865,26 +866,15 @@ def quotient_make(ring: Ring, ideal) -> QuotientRing:
     return QuotientRing(ring, members)
 
 
-def ring_size(ring: Ring) -> int:
-    return ring.size
-
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def ring_neg(a: RingElement) -> RingElement:
-    return -a
+def check_size_cap(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> None:
+    """Refuse to enumerate a ring above cap; None lifts the cap."""
+    if cap is not None and ring.size > cap:
+        raise SizeCapExceeded(ring.size, cap)
 
 
 def ring_enumerate(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> Iterator[RingElement]:
     """All elements in index order; guarded by the size cap."""
-    if cap is not None and ring.size > cap:
-        raise SizeCapExceeded(ring.size, cap)
+    check_size_cap(ring, cap)
     for i in range(ring.size):
         yield RingElement(ring, i)
 

@@ -65,7 +65,7 @@ def _build_atom(kind: str, groups: tuple[str, ...]) -> Ring:
         path = groups[0]
         try:
             return table_ring_from_json(path)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot load table ring from {path}: {exc}") from exc
     raise AssertionError(kind)
 
@@ -104,11 +104,6 @@ def parse_ring_spec(text: str) -> Ring:
     if len(atoms) == 1:
         return atoms[0]
     return ProductRing(atoms)
-
-
-def render_ring_spec(ring: Ring) -> str:
-    """Inverse of parse_ring_spec for grammar-backed constructions."""
-    return ring.describe()
 
 
 # ---------------------------------------------------------------------------

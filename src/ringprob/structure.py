@@ -8,7 +8,6 @@ be at corpus scale (a few hundred elements).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import NotLocal
@@ -226,9 +225,10 @@ def _nonunits_add_closed(ring: Ring, unit_set: frozenset[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def structure_report(ring: Ring) -> StructureReport:
-    """Full structural classification; cached per ring descriptor."""
+    """Full structural classification; memoized on the ring instance."""
+    if ring._structure is not None:
+        return ring._structure
     unit_set = units(ring)
     zd = zero_divisors(ring)
     j_members = _radical_members(ring, unit_set)
@@ -253,7 +253,7 @@ def structure_report(ring: Ring) -> StructureReport:
         if m != 1:
             raise AssertionError("local ring order is not a power of the residue order")
 
-    return StructureReport(
+    ring._structure = StructureReport(
         ring=ring,
         units=unit_set,
         zero_divisors=zd,
@@ -265,11 +265,7 @@ def structure_report(ring: Ring) -> StructureReport:
         is_max_chain=is_local and t == n,
         is_j2_zero=t <= 2,
     )
-
-
-def classify_local(ring: Ring) -> StructureReport:
-    """Locality classification entry point; alias of structure_report."""
-    return structure_report(ring)
+    return ring._structure
 
 
 def _is_power_of(value: int, base: int) -> bool:

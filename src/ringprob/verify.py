@@ -5,12 +5,19 @@ Each suite yields one case per corpus ring (or per parameter set for the
 corpus-independent suites).  Rings that do not satisfy a suite's
 hypotheses are reported as SKIP with the reason, never silently passed.
 All comparisons are exact; a failing case records both fractions.
+
+A suite is a check plus the gates it runs behind.  A check returns its
+PASS detail (a str) or the FAIL's (detail, expected, actual) tuple; one
+runner walks the cases and turns gates and verdicts into CaseResults.
+The checks look up the engines and closed forms in this module's
+namespace at call time, so a test can swap any of them out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product as iter_product
+from math import prod
 
 from .closedform import (
     MatrixClass,
@@ -30,6 +37,7 @@ from .closedform import (
     subspace_count,
 )
 from .corpus import default_corpus, ring_from_spec
+from .errors import ValidationError
 from .probability import ProbFraction, annsum_counts, pair_counts
 from .rings import ProductRing, Ring, ZModRing, quotient_make
 from .structure import (
@@ -68,169 +76,142 @@ class SuiteResult:
         return self.failed == 0
 
 
-def _ok(suite: str, case: str, detail: str = "") -> CaseResult:
-    return CaseResult(suite, case, "PASS", detail)
-
-
-def _fail(suite: str, case: str, detail: str, expected: str = "", actual: str = "") -> CaseResult:
-    return CaseResult(suite, case, "FAIL", detail, expected, actual)
-
-
-def _skip(suite: str, case: str, reason: str) -> CaseResult:
-    return CaseResult(suite, case, "SKIP", reason)
-
-
 # ---------------------------------------------------------------------------
-# Suites over the corpus
+# Runner, hypothesis gates and the pointwise comparator
 # ---------------------------------------------------------------------------
 
 
-def _suite_lemma21(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        if left_right_symmetry_check(ring):
-            out.append(_ok("lemma21", name, f"{ring.size} elements scanned"))
-        else:
-            out.append(_fail("lemma21", name, "one-sided zero-divisor found"))
-    return out
-
-
-def _suite_lemma23(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        counts = pair_counts(ring, cap=None)
-        ann = annsum_counts(ring, cap=None)
-        total = ring.size ** 2
-        if counts == ann:
-            out.append(_ok("lemma23", name, f"{ring.size} targets"))
-        else:
-            x = next(i for i in range(ring.size) if counts[i] != ann[i])
-            out.append(_fail("lemma23", name, f"engines disagree at x=#{x}",
-                             expected=str(ProbFraction(counts[x], total)),
-                             actual=str(ProbFraction(ann[x], total))))
-    return out
-
-
-def _suite_lemma24(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        rep = structure_report(ring)
-        counts = pair_counts(ring, cap=None)
-        total = ring.size ** 2
-        ucount = len(rep.units)
-        bad = None
-        for x in range(ring.size):
-            if (x in rep.units) != (counts[x] == ucount):
-                bad = (f"unit law fails at x=#{x}",
-                       f"{ucount}/{total} iff unit", str(ProbFraction(counts[x], total)))
-                break
-        if bad is None:
-            lo, hi = general_bounds(ring, ZERO_CLASS)
-            p0 = ProbFraction(counts[0], total)
-            if not (lo <= p0 <= hi):
-                bad = ("zero-target probability outside bounds",
-                       f"[{lo}, {hi}]", str(p0))
-        if bad is None and len(rep.zero_divisors) > 1:
-            lo, hi = general_bounds(ring, NONZERO_ZERO_DIVISOR)
-            for x in range(1, ring.size):
-                if x in rep.units:
-                    continue
-                px = ProbFraction(counts[x], total)
-                if not (lo <= px <= hi):
-                    bad = (f"bounds fail at x=#{x}", f"[{lo}, {hi}]", str(px))
-                    break
-        if bad is None:
-            out.append(_ok("lemma24", name, f"{ring.size} targets"))
-        else:
-            out.append(_fail("lemma24", name, bad[0], bad[1], bad[2]))
-    return out
-
-
-def _suite_lemma25(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        if isinstance(ring, ProductRing):
-            counts = pair_counts(ring, cap=None)
-            fcounts = [pair_counts(f, cap=None) for f in ring.factors]
-            bad = None
-            for x in range(ring.size):
-                comps = ring.decode(x)
-                expected = 1
-                for fc, c in zip(fcounts, comps):
-                    expected *= fc[c]
-                if counts[x] != expected:
-                    bad = (x, expected, counts[x])
-                    break
-            if bad is None:
-                out.append(_ok("lemma25", name, f"{ring.size} targets, componentwise"))
-            else:
-                total = ring.size ** 2
-                out.append(_fail("lemma25", name, f"product law fails at x=#{bad[0]}",
-                                 str(ProbFraction(bad[1], total)),
-                                 str(ProbFraction(bad[2], total))))
-        elif isinstance(ring, ZModRing) and len(_factorize(ring.n)) >= 2:
-            factors = sorted(_factorize(ring.n).items())
-            moduli = [p ** e for p, e in factors]
-            counts = pair_counts(ring, cap=None)
-            fcounts = [pair_counts(ring_from_spec(f"Z{m}"), cap=None) for m in moduli]
-            bad = None
-            for x in range(ring.n):
-                expected = 1
-                for fc, m in zip(fcounts, moduli):
-                    expected *= fc[x % m]
-                if counts[x] != expected:
-                    bad = (x, expected, counts[x])
-                    break
-            split = " * ".join(f"Z{m}" for m in moduli)
-            if bad is None:
-                out.append(_ok("lemma25", name, f"CRT split {split}"))
-            else:
-                total = ring.size ** 2
-                out.append(_fail("lemma25", name, f"CRT product law fails at x={bad[0]}",
-                                 str(ProbFraction(bad[1], total)),
-                                 str(ProbFraction(bad[2], total))))
-        else:
-            out.append(_skip("lemma25", name, "directly indecomposable"))
-    return out
-
-
-def _suite_lemma26(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        seen: set[frozenset[int]] = set()
-        ideals: list[frozenset[int]] = []
-        for g in range(ring.size):
-            members = principal_ideal_members(ring, g)
-            if len(members) == ring.size or members in seen:
+def _runner(suite_id: str, check, gates=(), targets=None):
+    """runner(corpus): check every case, over the corpus or over targets()
+    when the suite brings its own; a case failing a gate is a SKIP."""
+    def run(corpus: Corpus) -> list[CaseResult]:
+        out = []
+        for case, ring in corpus if targets is None else targets():
+            reason = next((why for holds, why in gates if not holds(ring)), None)
+            if reason is not None:
+                out.append(CaseResult(suite_id, case, "SKIP", reason))
                 continue
-            seen.add(members)
-            ideals.append(members)
+            verdict = check(ring)
+            if isinstance(verdict, str):
+                out.append(CaseResult(suite_id, case, "PASS", verdict))
+            else:
+                out.append(CaseResult(suite_id, case, "FAIL", *verdict))
+        return out
+    return run
+
+
+# Hypotheses as (holds(ring), the SKIP reason when it does not).
+_LOCAL = (lambda ring: structure_report(ring).is_local, "not local")
+_NOT_FIELD = (lambda ring: structure_report(ring).n >= 2, "n = 1 (field)")
+_MAX_CHAIN = (lambda ring: structure_report(ring).is_max_chain,
+              "radical chain shorter than maximal")
+_J2_ZERO = (lambda ring: structure_report(ring).is_j2_zero, "radical square is nonzero")
+_DECOMPOSABLE = (lambda ring: isinstance(ring, ProductRing) or (
+                     isinstance(ring, ZModRing) and len(_factorize(ring.n)) >= 2),
+                 "directly indecomposable")
+
+
+def _first_miss(ring: Ring, claim, counts=None):
+    """(detail, expected, actual) at the first x whose p_x = counts[x]/|R|^2
+    (pair counts by default) misses claim(x), else None.  claim(x) is None
+    for no claim at x, or (want, detail): want an exact ProbFraction or an
+    inclusive (lo, hi) bound, detail the text reported if p_x misses it."""
+    if counts is None:
         counts = pair_counts(ring, cap=None)
-        sq_r = ring.size ** 2
-        bad = None
-        checks = 0
-        for members in ideals:
-            quot = quotient_make(ring, members)
-            qcounts = pair_counts(quot, cap=None)
-            sq_q = quot.size ** 2
-            for x in range(ring.size):
-                checks += 1
-                qx = quot.coset_index_of(x)
-                if counts[x] * sq_q > qcounts[qx] * sq_r:
-                    bad = (x, len(members),
-                           str(ProbFraction(qcounts[qx], sq_q)),
-                           str(ProbFraction(counts[x], sq_r)))
-                    break
-            if bad:
-                break
-        if bad is None:
-            out.append(_ok("lemma26", name,
-                           f"{len(ideals)} proper principal ideals, {checks} comparisons"))
-        else:
-            out.append(_fail("lemma26", name,
-                             f"quotient bound fails at x=#{bad[0]}, |I|={bad[1]}",
-                             f"at most {bad[2]}", bad[3]))
-    return out
+    total = ring.size ** 2
+    for x in range(ring.size):
+        stated = claim(x)
+        if stated is None:
+            continue
+        want, detail = stated
+        px = ProbFraction(counts[x], total)
+        if isinstance(want, tuple):
+            lo, hi = want
+            if not lo <= px <= hi:
+                return detail, f"[{lo}, {hi}]", str(px)
+        elif px != want:
+            return detail, str(want), str(px)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Checks over the corpus
+# ---------------------------------------------------------------------------
+
+
+def _lemma21(ring: Ring):
+    if left_right_symmetry_check(ring):
+        return f"{ring.size} elements scanned"
+    return ("one-sided zero-divisor found",)
+
+
+def _lemma23(ring: Ring):
+    counts = pair_counts(ring, cap=None)
+    total = ring.size ** 2
+    miss = _first_miss(ring, lambda x: (ProbFraction(counts[x], total),
+                                        f"engines disagree at x=#{x}"),
+                       counts=annsum_counts(ring, cap=None))
+    return miss or f"{ring.size} targets"
+
+
+def _lemma24(ring: Ring):
+    rep = structure_report(ring)
+    counts = pair_counts(ring, cap=None)
+    total = ring.size ** 2
+    ucount = len(rep.units)
+    for x in range(ring.size):
+        if (x in rep.units) != (counts[x] == ucount):
+            return (f"unit law fails at x=#{x}", f"{ucount}/{total} iff unit",
+                    str(ProbFraction(counts[x], total)))
+    zero = general_bounds(ring, ZERO_CLASS)
+    nonzero = (general_bounds(ring, NONZERO_ZERO_DIVISOR)
+               if len(rep.zero_divisors) > 1 else None)
+
+    def claim(x):
+        if x == 0:
+            return zero, "zero-target probability outside bounds"
+        if nonzero and x not in rep.units:
+            return nonzero, f"bounds fail at x=#{x}"
+        return None
+
+    return _first_miss(ring, claim) or f"{ring.size} targets"
+
+
+def _lemma25(ring: Ring):
+    if isinstance(ring, ProductRing):
+        factors, parts = ring.factors, ring.decode
+        law, passed = "product law fails at x=#{}", f"{ring.size} targets, componentwise"
+    else:
+        moduli = [p ** e for p, e in sorted(_factorize(ring.n).items())]
+        factors = [ring_from_spec(f"Z{m}") for m in moduli]
+        parts = lambda x: [x % m for m in moduli]
+        law = "CRT product law fails at x={}"
+        passed = "CRT split " + " * ".join(f"Z{m}" for m in moduli)
+    fcounts = [pair_counts(f, cap=None) for f in factors]
+    total = ring.size ** 2
+    miss = _first_miss(ring, lambda x: (
+        ProbFraction(prod(fc[c] for fc, c in zip(fcounts, parts(x))), total), law.format(x)))
+    return miss or passed
+
+
+def _lemma26(ring: Ring):
+    proper = (principal_ideal_members(ring, g) for g in range(ring.size))
+    ideals = list(dict.fromkeys(m for m in proper if len(m) < ring.size))
+    counts = pair_counts(ring, cap=None)
+    sq_r = ring.size ** 2
+    checks = 0
+    for members in ideals:
+        quot = quotient_make(ring, members)
+        qcounts = pair_counts(quot, cap=None)
+        sq_q = quot.size ** 2
+        for x in range(ring.size):
+            checks += 1
+            qx = quot.coset_index_of(x)
+            if counts[x] * sq_q > qcounts[qx] * sq_r:
+                return (f"quotient bound fails at x=#{x}, |I|={len(members)}",
+                        f"at most {ProbFraction(qcounts[qx], sq_q)}",
+                        str(ProbFraction(counts[x], sq_r)))
+    return f"{len(ideals)} proper principal ideals, {checks} comparisons"
 
 
 # ---------------------------------------------------------------------------
@@ -271,261 +252,139 @@ def enumerate_subspaces(p: int, n: int, k: int) -> list[tuple[tuple, frozenset]]
     return subs
 
 
-def _suite_lemma31(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for q in (2, 3):
-        for n in range(1, 5):
-            subs = {k: enumerate_subspaces(q, n, k) for k in range(n + 1)}
-            bad = None
-            checks = 0
-            for r in range(n + 1):
-                for k in range(r, n + 1):
-                    expected = subspace_count(q, n, r, k)
-                    for ubasis, _ in subs[r]:
-                        checks += 1
-                        got = sum(1 for _, wspan in subs[k]
-                                  if all(v in wspan for v in ubasis))
-                        if got != expected:
-                            bad = (r, k, expected, got)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-            case = f"q={q},n={n}"
-            if bad is None:
-                out.append(_ok("lemma31", case, f"{checks} (U,k) pairs enumerated"))
-            else:
-                out.append(_fail("lemma31", case,
-                                 f"count mismatch at r={bad[0]}, k={bad[1]}",
-                                 str(bad[2]), str(bad[3])))
-    return out
+def _subspace_params() -> list[tuple[str, tuple[int, int]]]:
+    return [(f"q={q},n={n}", (q, n)) for q in (2, 3) for n in range(1, 5)]
+
+
+def _lemma31(params: tuple[int, int]):
+    q, n = params
+    subs = {k: enumerate_subspaces(q, n, k) for k in range(n + 1)}
+    checks = 0
+    for r in range(n + 1):
+        for k in range(r, n + 1):
+            expected = subspace_count(q, n, r, k)
+            for ubasis, _ in subs[r]:
+                checks += 1
+                got = sum(1 for _, wspan in subs[k] if all(v in wspan for v in ubasis))
+                if got != expected:
+                    return f"count mismatch at r={r}, k={k}", str(expected), str(got)
+    return f"{checks} (U,k) pairs enumerated"
+
+
+# ---------------------------------------------------------------------------
+# Closed forms
+# ---------------------------------------------------------------------------
 
 
 _MATRIX_TARGETS = ["M1(GF2)", "M1(GF3)", "M2(GF2)", "M2(GF3)", "M3(GF2)", "M2(GF4)"]
 
 
-def _suite_thm32(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for spec in _MATRIX_TARGETS:
-        ring = ring_from_spec(spec)
-        counts = pair_counts(ring, cap=None)
-        total = ring.size ** 2
-        ranks = [matrix_rank(ring.element(i)) for i in range(ring.size)]
-        formula_hits = {}
-        for r in range(ring.k + 1):
-            result = prob_matrix_formula(MatrixClass(ring.q, ring.k, r))
-            if result.value.total != total:
-                raise AssertionError("matrix formula denominator mismatch")
-            formula_hits[r] = result.value.hits
-        bad = None
-        for i in range(ring.size):
-            if counts[i] != formula_hits[ranks[i]]:
-                bad = (f"formula misses x=#{i} (rank {ranks[i]})",
-                       str(ProbFraction(formula_hits[ranks[i]], total)),
-                       str(ProbFraction(counts[i], total)))
-                break
-        if bad is None:
-            for r in range(ring.k + 1):
-                class_counts = {counts[i] for i in range(ring.size) if ranks[i] == r}
-                if len(class_counts) > 1:
-                    bad = (f"rank-{r} class is not constant",
-                           "one value per rank class",
-                           f"{len(class_counts)} distinct values")
-                    break
-        if bad is None:
-            out.append(_ok("thm32", spec, f"{ring.size} targets, ranks 0..{ring.k}"))
-        else:
-            out.append(_fail("thm32", spec, bad[0], bad[1], bad[2]))
-    return out
+def _matrix_targets() -> list[tuple[str, Ring]]:
+    return [(spec, ring_from_spec(spec)) for spec in _MATRIX_TARGETS]
 
 
-def _suite_lemma41(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
+def _thm32(ring: Ring):
+    ranks = [matrix_rank(ring.element(i)) for i in range(ring.size)]
+    by_rank = []
+    for r in range(ring.k + 1):
+        value = prob_matrix_formula(MatrixClass(ring.q, ring.k, r)).value
+        if value.total != ring.size ** 2:
+            raise AssertionError("matrix formula denominator mismatch")
+        by_rank.append(value)
+    # p_x matching by_rank at every x also makes each rank class constant.
+    miss = _first_miss(ring, lambda x: (by_rank[ranks[x]],
+                                        f"formula misses x=#{x} (rank {ranks[x]})"))
+    return miss or f"{ring.size} targets, ranks 0..{ring.k}"
+
+
+def _lemma41(ring: Ring):
+    if ideal_size_power_check(ring):
+        return f"q={structure_report(ring).q}: all sizes are powers"
+    return ("ideal size is not a power of q",)
+
+
+def _thm42(ring: Ring):
+    rep = structure_report(ring)
+    q, n = rep.q, rep.n
+    unit_value = ProbFraction(q - 1, q ** (n + 1))
+    radical = local_bounds(ring, NONZERO_RADICAL)
+    zero = local_bounds(ring, ZERO_CLASS)
+
+    def claim(x):
+        if x == 0:
+            return zero, "zero-target outside bounds"
+        if x in rep.units:
+            return unit_value, f"unit value fails at x=#{x}"
+        return radical, f"radical member x=#{x} outside bounds"
+
+    return _first_miss(ring, claim) or f"q={q}, n={n}, {ring.size} targets"
+
+
+def _cor43(ring: Ring):
+    preds = corollary_43_predicates(ring)
+    if len(set(preds)) == 1:
+        return f"predicates {preds}"
+    return "predicates are not equivalent", "all equal", str(preds)
+
+
+def _cor44(ring: Ring):
+    lhs, rhs = corollary_44_predicate(ring)
+    if lhs == rhs:
+        return f"extremal={lhs}, square-zero radical={rhs}"
+    return "sides disagree", f"square-zero radical={rhs}", f"extremal={lhs}"
+
+
+def _lemma45(ring: Ring):
+    if unit_plus_radical_check(ring):
         rep = structure_report(ring)
-        if not rep.is_local:
-            out.append(_skip("lemma41", name, "not local"))
-        elif ideal_size_power_check(ring):
-            out.append(_ok("lemma41", name, f"q={rep.q}: all sizes are powers"))
-        else:
-            out.append(_fail("lemma41", name, "ideal size is not a power of q"))
-    return out
+        return f"{len(rep.units)}x{rep.radical.size} sums checked"
+    return ("unit + radical member is not a unit",)
 
 
-def _suite_thm42(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        rep = structure_report(ring)
-        if not rep.is_local:
-            out.append(_skip("thm42", name, "not local"))
-            continue
-        if rep.n < 2:
-            out.append(_skip("thm42", name, "n = 1 (field)"))
-            continue
-        counts = pair_counts(ring, cap=None)
-        total = ring.size ** 2
-        q, n = rep.q, rep.n
-        unit_value = ProbFraction(q - 1, q ** (n + 1))
-        lo, hi = local_bounds(ring, NONZERO_RADICAL)
-        zlo, zhi = local_bounds(ring, ZERO_CLASS)
-        bad = None
-        for x in range(ring.size):
-            px = ProbFraction(counts[x], total)
-            if x == 0:
-                if not (zlo <= px <= zhi):
-                    bad = (f"zero-target outside bounds", f"[{zlo}, {zhi}]", str(px))
-                    break
-            elif x in rep.units:
-                if px != unit_value:
-                    bad = (f"unit value fails at x=#{x}", str(unit_value), str(px))
-                    break
-            else:
-                if not (lo <= px <= hi):
-                    bad = (f"radical member x=#{x} outside bounds", f"[{lo}, {hi}]", str(px))
-                    break
-        if bad is None:
-            out.append(_ok("thm42", name, f"q={q}, n={n}, {ring.size} targets"))
-        else:
-            out.append(_fail("thm42", name, bad[0], bad[1], bad[2]))
-    return out
+def _local_closed_form(ring: Ring, formula, name: str):
+    rep = structure_report(ring)
+    miss = _first_miss(ring, lambda x: (formula(ring, x).value,
+                                        f"{name} formula fails at x=#{x}"))
+    return miss or f"q={rep.q}, n={rep.n}, {ring.size} targets"
 
 
-def _suite_cor43(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        rep = structure_report(ring)
-        if not rep.is_local:
-            out.append(_skip("cor43", name, "not local"))
-            continue
-        if rep.n < 2:
-            out.append(_skip("cor43", name, "n = 1 (field)"))
-            continue
-        preds = corollary_43_predicates(ring)
-        if len(set(preds)) == 1:
-            out.append(_ok("cor43", name, f"predicates {preds}"))
-        else:
-            out.append(_fail("cor43", name, "predicates are not equivalent",
-                             "all equal", str(preds)))
-    return out
+def _thm46(ring: Ring):
+    return _local_closed_form(ring, prob_chain_formula, "chain")
 
 
-def _suite_cor44(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        rep = structure_report(ring)
-        if not rep.is_local:
-            out.append(_skip("cor44", name, "not local"))
-            continue
-        lhs, rhs = corollary_44_predicate(ring)
-        if lhs == rhs:
-            out.append(_ok("cor44", name, f"extremal={lhs}, square-zero radical={rhs}"))
-        else:
-            out.append(_fail("cor44", name, "sides disagree",
-                             f"square-zero radical={rhs}", f"extremal={lhs}"))
-    return out
+def _zn_targets() -> list[tuple[str, Ring]]:
+    return [(f"Z{n}", ring_from_spec(f"Z{n}")) for n in range(2, 31)]
 
 
-def _suite_lemma45(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        rep = structure_report(ring)
-        if unit_plus_radical_check(ring):
-            out.append(_ok("lemma45", name,
-                           f"{len(rep.units)}x{rep.radical.size} sums checked"))
-        else:
-            out.append(_fail("lemma45", name, "unit + radical member is not a unit"))
-    return out
+def _remark_zn(ring: Ring):
+    miss = _first_miss(ring, lambda x: (prob_zn(ring.n, x).value,
+                                        f"split formula fails at x={x}"))
+    return miss or f"{ring.n} targets"
 
 
-def _suite_thm46(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        rep = structure_report(ring)
-        if not rep.is_local:
-            out.append(_skip("thm46", name, "not local"))
-            continue
-        if not rep.is_max_chain:
-            out.append(_skip("thm46", name, "radical chain shorter than maximal"))
-            continue
-        counts = pair_counts(ring, cap=None)
-        total = ring.size ** 2
-        bad = None
-        for x in range(ring.size):
-            expected = prob_chain_formula(ring, x).value
-            actual = ProbFraction(counts[x], total)
-            if expected != actual:
-                bad = (f"chain formula fails at x=#{x}", str(expected), str(actual))
-                break
-        if bad is None:
-            out.append(_ok("thm46", name, f"q={rep.q}, n={rep.n}, {ring.size} targets"))
-        else:
-            out.append(_fail("thm46", name, bad[0], bad[1], bad[2]))
-    return out
-
-
-def _suite_remark_zn(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for n in range(2, 31):
-        ring = ring_from_spec(f"Z{n}")
-        counts = pair_counts(ring, cap=None)
-        total = n * n
-        bad = None
-        for x in range(n):
-            expected = prob_zn(n, x).value
-            actual = ProbFraction(counts[x], total)
-            if expected != actual:
-                bad = (f"split formula fails at x={x}", str(expected), str(actual))
-                break
-        if bad is None:
-            out.append(_ok("remark_zn", f"Z{n}", f"{n} targets"))
-        else:
-            out.append(_fail("remark_zn", f"Z{n}", bad[0], bad[1], bad[2]))
-    return out
-
-
-def _suite_thm48(corpus: Corpus) -> list[CaseResult]:
-    out = []
-    for name, ring in corpus:
-        rep = structure_report(ring)
-        if not rep.is_local:
-            out.append(_skip("thm48", name, "not local"))
-            continue
-        if not rep.is_j2_zero:
-            out.append(_skip("thm48", name, "radical square is nonzero"))
-            continue
-        counts = pair_counts(ring, cap=None)
-        total = ring.size ** 2
-        bad = None
-        for x in range(ring.size):
-            expected = prob_j2zero_formula(ring, x).value
-            actual = ProbFraction(counts[x], total)
-            if expected != actual:
-                bad = (f"square-zero formula fails at x=#{x}", str(expected), str(actual))
-                break
-        if bad is None:
-            out.append(_ok("thm48", name, f"q={rep.q}, n={rep.n}, {ring.size} targets"))
-        else:
-            out.append(_fail("thm48", name, bad[0], bad[1], bad[2]))
-    return out
+def _thm48(ring: Ring):
+    return _local_closed_form(ring, prob_j2zero_formula, "square-zero")
 
 
 SUITES: dict[str, tuple[str, object]] = {
-    "lemma21": ("one-sided zero-divisors are two-sided", _suite_lemma21),
-    "lemma23": ("pair counts equal annihilator sums", _suite_lemma23),
-    "lemma24": ("unit law and general probability bounds", _suite_lemma24),
-    "lemma25": ("product rings multiply componentwise", _suite_lemma25),
-    "lemma26": ("quotient probabilities dominate", _suite_lemma26),
-    "lemma31": ("subspace counts match enumeration", _suite_lemma31),
-    "thm32": ("matrix-ring closed form", _suite_thm32),
-    "lemma41": ("local ideal sizes are powers of q", _suite_lemma41),
-    "thm42": ("local probability bounds", _suite_thm42),
-    "cor43": ("extremal local equivalences", _suite_cor43),
-    "cor44": ("zero-target extremal iff square-zero radical", _suite_cor44),
-    "lemma45": ("units absorb radical shifts", _suite_lemma45),
-    "thm46": ("maximal-chain closed form", _suite_thm46),
-    "remark_zn": ("integers mod n via prime-power split", _suite_remark_zn),
-    "thm48": ("square-zero radical closed form", _suite_thm48),
+    suite_id: (description, _runner(suite_id, check, gates, targets))
+    for suite_id, description, check, gates, targets in (
+        ("lemma21", "one-sided zero-divisors are two-sided", _lemma21, (), None),
+        ("lemma23", "pair counts equal annihilator sums", _lemma23, (), None),
+        ("lemma24", "unit law and general probability bounds", _lemma24, (), None),
+        ("lemma25", "product rings multiply componentwise", _lemma25, (_DECOMPOSABLE,), None),
+        ("lemma26", "quotient probabilities dominate", _lemma26, (), None),
+        ("lemma31", "subspace counts match enumeration", _lemma31, (), _subspace_params),
+        ("thm32", "matrix-ring closed form", _thm32, (), _matrix_targets),
+        ("lemma41", "local ideal sizes are powers of q", _lemma41, (_LOCAL,), None),
+        ("thm42", "local probability bounds", _thm42, (_LOCAL, _NOT_FIELD), None),
+        ("cor43", "extremal local equivalences", _cor43, (_LOCAL, _NOT_FIELD), None),
+        ("cor44", "zero-target extremal iff square-zero radical", _cor44, (_LOCAL,), None),
+        ("lemma45", "units absorb radical shifts", _lemma45, (), None),
+        ("thm46", "maximal-chain closed form", _thm46, (_LOCAL, _MAX_CHAIN), None),
+        ("remark_zn", "integers mod n via prime-power split", _remark_zn, (), _zn_targets),
+        ("thm48", "square-zero radical closed form", _thm48, (_LOCAL, _J2_ZERO), None),
+    )
 }
 
 
@@ -539,7 +398,6 @@ def run_suites(suite_ids: list[str] | None = None,
     results = []
     for suite_id in suite_ids:
         if suite_id not in SUITES:
-            from .errors import ValidationError
             known = ", ".join(SUITES)
             raise ValidationError(f"unknown suite {suite_id!r} (known: {known})")
         description, runner = SUITES[suite_id]

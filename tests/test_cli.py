@@ -65,6 +65,8 @@ class TestProb:
         code, _, err = run_cli(capsys, "prob", "--ring", "Z5000", "--x", "3")
         assert code == 3
         assert "cap" in err
+        assert err == ("error: ring has 5000 elements, above the cap of 4096 "
+                       "(use --force / cap=None to override)\n")
 
     def test_force_lifts_cap(self, capsys):
         code, out, _ = run_cli(capsys, "prob", "--ring", "Z4200", "--x", "0",
@@ -200,6 +202,23 @@ class TestMalformedInput:
         code, _, err = run_cli(capsys, "verify", "--corpus", str(path))
         assert code == 2
         assert "cannot read corpus file" in err
+
+    @pytest.mark.parametrize("content", [None, "{\"size\": 2,", "\udcff"],
+                             ids=["missing", "bad-json", "not-utf8"])
+    def test_unreadable_table_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "ring.json"
+        if content is not None:
+            path.write_bytes(content.encode("utf-8", "surrogateescape"))
+        code, _, err = run_cli(capsys, "prob", "--ring", f"table:{path}", "--x", "0")
+        assert code == 2
+        assert "cannot load table ring" in err
+
+    def test_size_past_int_str_limit_hits_size_cap(self, capsys):
+        # |M300(GF2)| = 2^90000 has more decimal digits than str() allows
+        code, _, err = run_cli(capsys, "structure", "--ring", "M300(GF2)")
+        assert code == 3
+        assert "cap" in err
+        assert "2^90000" in err
 
     def test_huge_prime_field_hits_size_cap(self, capsys):
         code, _, err = run_cli(capsys, "prob", "--ring", "GF1000000007", "--x", "0")

@@ -1,5 +1,8 @@
 """Probability engines against definitional oracles and each other."""
 
+import gc
+import weakref
+
 import pytest
 
 from ringprob.corpus import default_corpus
@@ -14,6 +17,7 @@ from ringprob.probability import (
     spectrum,
 )
 from ringprob.rings import field_ring, matrix_ring, product, zmod
+from ringprob.structure import structure_report
 
 
 def zn_pair_oracle(n):
@@ -129,6 +133,32 @@ class TestEngineEquivalence:
     def test_zmod_counts_match_pure_integer_oracle(self):
         for n in range(2, 13):
             assert list(pair_counts(zmod(n))) == zn_pair_oracle(n)
+
+
+class TestMemo:
+    """structure_report and pair_counts memoize on the ring instance."""
+
+    def test_repeat_calls_return_the_memo(self):
+        ring = zmod(64)
+        assert structure_report(ring) is structure_report(ring)
+        assert pair_counts(ring) is pair_counts(ring)
+
+    def test_memo_is_per_instance(self):
+        first, second = zmod(12), zmod(12)
+        assert first == second
+        assert pair_counts(first) == pair_counts(second)
+        assert pair_counts(first) is not pair_counts(second)
+
+    def test_memo_does_not_keep_the_ring_alive(self):
+        # Z62 is built nowhere else in the suite, so no equal ring can
+        # stand in for this instance in a cache keyed by ring equality.
+        ring = zmod(62)
+        structure_report(ring)
+        pair_counts(ring)
+        ref = weakref.ref(ring)
+        del ring
+        gc.collect()
+        assert ref() is None
 
 
 class TestNormalization:

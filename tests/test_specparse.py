@@ -17,7 +17,7 @@ from ringprob.rings import (
     trivial_extension,
     zmod,
 )
-from ringprob.specparse import parse_element, parse_ring_spec, render_ring_spec
+from ringprob.specparse import parse_element, parse_ring_spec
 
 
 class TestGrammar:
@@ -82,7 +82,7 @@ class TestGrammar:
 
     def test_round_trip_whole_corpus(self):
         for _, ring in default_corpus():
-            assert parse_ring_spec(render_ring_spec(ring)) == ring
+            assert parse_ring_spec(ring.describe()) == ring
 
 
 class TestElementLiterals:
