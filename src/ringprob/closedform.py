@@ -2,7 +2,10 @@
 
 Every function here evaluates exact rationals from (q, n, rank, radical
 layer, ...) alone, without enumerating pairs; the enumeration engines in
-`probability` are the oracles these formulas are verified against.
+`probability` are the oracles these formulas are verified against.  The
+closed forms read those parameters from `recipe.invariants`, so on a
+recipe ring a closed-form query builds no table; the bounds and the
+corollary predicates read `structure_report` and the pair counts.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
 )
 from .finfield import factor_prime_power
 from .probability import ProbFraction, _index_of, pair_counts, prob_annsum
+from .recipe import _factorize, invariants, matrix_rank
 from .rings import DEFAULT_SIZE_CAP, MatrixRing, ProductRing, Ring, RingElement, check_size_cap
 from .structure import structure_report
 
@@ -71,31 +75,6 @@ def subspace_count(q: int, n: int, r: int, k: int) -> int:
     return count
 
 
-def matrix_rank(x: RingElement) -> int:
-    """Rank by Gaussian elimination over GF(q), inverting pivots exactly."""
-    ring = x.ring
-    if not isinstance(ring, MatrixRing):
-        raise ValidationError("matrix_rank needs an element of a matrix ring")
-    gf = ring.field
-    k = ring.k
-    rows = [list(r) for r in ring.decode(x.index)]
-    rank = 0
-    for col in range(k):
-        pivot = next((r for r in range(rank, k) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = gf.inv(rows[rank][col])
-        rows[rank] = [gf.mul(inv, v) for v in rows[rank]]
-        for r in range(k):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [gf.add(v, gf.neg(gf.mul(f, p)))
-                           for v, p in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def prob_matrix_formula(cls: MatrixClass) -> FormulaResult:
     """Closed form for M_dim(GF(q)) at a target of the given rank.
 
@@ -119,11 +98,11 @@ def prob_matrix_formula(cls: MatrixClass) -> FormulaResult:
 
 def prob_unit_formula(ring: Ring) -> FormulaResult:
     """|R*| / |R|^2, the exact value for any unit target."""
-    report = structure_report(ring)
+    units = invariants(ring).unit_count
     return FormulaResult(
-        value=ProbFraction(len(report.units), ring.size ** 2),
+        value=ProbFraction(units, ring.size ** 2),
         formula="unit",
-        applicability={"units": len(report.units)},
+        applicability={"units": units},
     )
 
 
@@ -168,17 +147,17 @@ def local_bounds(ring: Ring, x_class: str) -> tuple[ProbFraction, ProbFraction]:
 def prob_chain_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
     """Closed form for local rings whose radical chain has maximal length:
     (k+1)(q-1)/q^(n+1) on the k-th radical layer, ((n+1)q - n)/q^(n+1) at 0."""
-    report = structure_report(ring)
-    if not (report.is_local and report.is_max_chain):
+    inv = invariants(ring)
+    if not inv.is_max_chain:
         raise NotChain(f"{ring.describe()} is not a maximal-chain local ring")
-    q, n = report.q, report.n
+    q, n = inv.q, inv.n
     xi = _index_of(ring, x)
     applicability = {"local": True, "max_chain": True, "q": q, "n": n}
     if xi == 0:
         value = ProbFraction((n + 1) * q - n, q ** (n + 1))
         applicability["target"] = "zero"
     else:
-        k = report.radical_layer(xi)
+        k = inv.radical_layer(xi)
         value = ProbFraction((k + 1) * (q - 1), q ** (n + 1))
         applicability["layer"] = k
     return FormulaResult(value=value, formula="chain", applicability=applicability)
@@ -187,35 +166,22 @@ def prob_chain_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
 def prob_j2zero_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
     """Closed form for local rings with square-zero radical: three-way
     dispatch on zero / nonzero radical member / non-member."""
-    report = structure_report(ring)
-    if not (report.is_local and report.is_j2_zero):
+    inv = invariants(ring)
+    if not (inv.is_local and inv.is_j2_zero):
         raise NotJ2Zero(f"{ring.describe()} is not local with square-zero radical")
-    q, n = report.q, report.n
+    q, n = inv.q, inv.n
     xi = _index_of(ring, x)
     applicability = {"local": True, "j2_zero": True, "q": q, "n": n}
     if xi == 0:
         value = ProbFraction(q ** (n - 1) + 2 * q - 2, q ** (n + 1))
         applicability["target"] = "zero"
-    elif xi in report.radical.members:
+    elif inv.radical_layer(xi) >= 1:
         value = ProbFraction(2 * (q - 1), q ** (n + 1))
         applicability["target"] = "radical"
     else:
         value = ProbFraction(q - 1, q ** (n + 1))
         applicability["target"] = "unit"
     return FormulaResult(value=value, formula="j2zero", applicability=applicability)
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def prob_zn(n: int, x: int) -> FormulaResult:
@@ -283,17 +249,22 @@ def corollary_44_predicate(ring: Ring) -> tuple[bool, bool]:
 
 
 def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
-    """Closed form only; raises FormulaUnavailable when none applies."""
-    report = structure_report(ring)
+    """Closed form only; raises FormulaUnavailable when none applies.
+
+    Reads the ring's invariants, so a recipe ring builds no table here."""
     xi = _index_of(ring, x)
-    if xi in report.units:
-        return prob_unit_formula(ring)
     if isinstance(ring, MatrixRing):
-        cls = MatrixClass(q=ring.q, dim=ring.k, rank=matrix_rank(ring.element(xi)))
-        return prob_matrix_formula(cls)
-    if report.is_local and report.is_max_chain:
+        # one rank serves the unit test (rank k) and the matrix formula
+        rank = matrix_rank(ring.element(xi))
+        if rank == ring.k:
+            return prob_unit_formula(ring)
+        return prob_matrix_formula(MatrixClass(q=ring.q, dim=ring.k, rank=rank))
+    inv = invariants(ring)
+    if inv.is_unit(xi):
+        return prob_unit_formula(ring)
+    if inv.is_max_chain:
         return prob_chain_formula(ring, xi)
-    if report.is_local and report.is_j2_zero:
+    if inv.is_local and inv.is_j2_zero:
         return prob_j2zero_formula(ring, xi)
     if isinstance(ring, ProductRing):
         comps = ring.decode(xi)

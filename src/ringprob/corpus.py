@@ -68,10 +68,11 @@ def default_corpus() -> tuple[tuple[str, Ring], ...]:
 
 
 def corpus_from_file(path: str) -> tuple[tuple[str, Ring], ...]:
-    """Custom corpus: a JSON array of ring-spec strings."""
+    """Custom corpus: a non-empty JSON array of ring-spec strings.  A spec
+    that fails to parse is named in the error with its 1-based entry."""
     import json
 
-    from .errors import ValidationError
+    from .errors import ParseError, ValidationError
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,4 +81,12 @@ def corpus_from_file(path: str) -> tuple[tuple[str, Ring], ...]:
         raise ValidationError(f"cannot read corpus file {path}: {exc}") from exc
     if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
         raise ValidationError("corpus file must be a JSON array of ring-spec strings")
-    return tuple((spec, parse_ring_spec(spec)) for spec in specs)
+    if not specs:
+        raise ValidationError(f"corpus file {path} lists no ring specs")
+    corpus = []
+    for number, spec in enumerate(specs, 1):
+        try:
+            corpus.append((spec, parse_ring_spec(spec)))
+        except (ParseError, ValidationError) as exc:
+            raise ValidationError(f"corpus entry {number} ({spec!r}): {exc}") from exc
+    return tuple(corpus)

@@ -15,7 +15,7 @@ from .errors import DegreeOutOfRange, DivisionByZero, MixedFields, NonPrime
 
 MAX_EXTENSION_DEGREE = 8
 
-# Above this order, index-level add/mul tables are not precomputed and
+# Above this order, index-level add/mul tables are never built and
 # operations fall back to per-call polynomial arithmetic.
 FIELD_TABLE_CAP = 512
 
@@ -241,7 +241,8 @@ class GaloisField:
 
     Indices are base-p encodings of coefficient vectors (constant term
     least significant).  For orders up to FIELD_TABLE_CAP full add/mul
-    tables are precomputed; larger fields compute per call.
+    tables are built on the first add, mul or neg; larger fields compute
+    per call.
     """
 
     def __init__(self, descriptor: FieldDescriptor):
@@ -253,8 +254,6 @@ class GaloisField:
         self.add_table: list[tuple[int, ...]] | None = None
         self.mul_table: list[tuple[int, ...]] | None = None
         self.neg_table: tuple[int, ...] | None = None
-        if self.order <= FIELD_TABLE_CAP:
-            self._build_tables()
 
     # -- coefficient/index codecs ------------------------------------------
 
@@ -306,28 +305,44 @@ class GaloisField:
                     prod[s - r + t] = (prod[s - r + t] - c * m) % p
         return self.index_of(prod[:r])
 
-    def _build_tables(self) -> None:
-        n = self.order
-        self.add_table = [tuple(self._add_raw(i, j) for j in range(n)) for i in range(n)]
-        self.mul_table = [tuple(self._mul_raw(i, j) for j in range(n)) for i in range(n)]
-        self.neg_table = tuple(self._neg_raw(i) for i in range(n))
+    def tables(self):
+        """(add, mul, neg) tables, built on first use; None above
+        FIELD_TABLE_CAP.  The mul table is assigned last, so a field whose
+        mul table is set has all three."""
+        if self.mul_table is None:
+            if self.order > FIELD_TABLE_CAP:
+                return None
+            n = self.order
+            self.add_table = [tuple(self._add_raw(i, j) for j in range(n)) for i in range(n)]
+            self.neg_table = tuple(self._neg_raw(i) for i in range(n))
+            self.mul_table = [tuple(self._mul_raw(i, j) for j in range(n)) for i in range(n)]
+        return self.add_table, self.mul_table, self.neg_table
 
     # -- public index-level ops ----------------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        if self.add_table is not None:
-            return self.add_table[i][j]
-        return self._add_raw(i, j)
+        table = self.add_table
+        if table is None:
+            if self.tables() is None:
+                return self._add_raw(i, j)
+            table = self.add_table
+        return table[i][j]
 
     def neg(self, i: int) -> int:
-        if self.neg_table is not None:
-            return self.neg_table[i]
-        return self._neg_raw(i)
+        table = self.neg_table
+        if table is None:
+            if self.tables() is None:
+                return self._neg_raw(i)
+            table = self.neg_table
+        return table[i]
 
     def mul(self, i: int, j: int) -> int:
-        if self.mul_table is not None:
-            return self.mul_table[i][j]
-        return self._mul_raw(i, j)
+        table = self.mul_table
+        if table is None:
+            if self.tables() is None:
+                return self._mul_raw(i, j)
+            table = self.mul_table
+        return table[i][j]
 
     def inv(self, i: int) -> int:
         """Multiplicative inverse by extended Euclid on polynomials."""

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import MixedRings, ValidationError
+from .recipe import Invariants, invariants, matrix_rank
 from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement, check_size_cap
-from .structure import StructureReport, structure_report
 
 
 @dataclass(frozen=True)
@@ -172,27 +172,26 @@ class SpectrumReport:
         return ProbFraction(self.counts[index], self.total)
 
 
-def _class_label(ring: Ring, report: StructureReport, index: int) -> str:
+def _class_label(ring: Ring, inv: Invariants, index: int) -> str:
     if index == 0:
         return "zero"
     if isinstance(ring, MatrixRing):
-        from .closedform import matrix_rank
         return f"rank {matrix_rank(ring.element(index))}"
-    if index in report.units:
+    if inv.is_unit(index):
         return "unit"
-    if report.is_local:
-        return f"J^{report.radical_layer(index)}"
+    if inv.is_local:
+        return f"J^{inv.radical_layer(index)}"
     return "zero-divisor"
 
 
 def spectrum(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> SpectrumReport:
     """Group elements into classes of equal probability and shared label."""
     counts = pair_counts(ring, cap)
-    report = structure_report(ring)
+    inv = invariants(ring)
     total = ring.size ** 2
     groups: dict[tuple[str, int], list[int]] = {}
     for i in range(ring.size):
-        key = (_class_label(ring, report, i), counts[i])
+        key = (_class_label(ring, inv, i), counts[i])
         groups.setdefault(key, [0, ring.size])
         groups[key][0] += 1
         groups[key][1] = min(groups[key][1], i)

@@ -1,0 +1,266 @@
+"""Structural invariants of a ring, read off its construction recipe.
+
+Closed-form dispatch and the spectrum labels need only a few numbers:
+whether x is a unit and how many units there are; whether the ring is
+local, with residue field order q, |R| = q^n and radical nilpotency index
+t; the radical layer of x; and, in a matrix ring, the rank of x.  Every
+grammar construction knows these from its recipe, so `invariants(ring)`
+answers them without building a table or enumerating anything:
+
+  Z_n          by factorization; unit iff gcd(x, n) = 1, layer v_p(x)
+  GF(q)        the field: local, n = 1, t = 1
+  M_k(GF q)    unit iff rank k; semisimple (t = 1), local iff k = 1
+  chain(q, m)  GF(q)[t]/(t^m): layer is the t-adic valuation, t = n = m
+  GR(p, k, r)  Z_{p^k}[t]/(f): layer is the least p-adic valuation of a
+               coefficient, q = p^r, t = n = k
+  triv(q, m)   square-zero radical: t = 2, n = m + 1
+  products     combined from their factors (never local)
+
+Table rings, quotient rings and any other polynomial quotient read the
+same answers off `structure_report`, the enumeration oracle, so each ring
+has one source of answers and dispatch has one code path.
+"""
+
+from __future__ import annotations
+
+from math import gcd, prod
+from typing import Callable
+
+from .errors import NonPrime, ValidationError
+from .finfield import factor_prime_power, is_irreducible
+from .rings import (
+    FieldRing,
+    MatrixRing,
+    PolyQuotientRing,
+    ProductRing,
+    Ring,
+    RingElement,
+    TrivialExtensionRing,
+    ZModRing,
+)
+from .structure import structure_report
+
+_LAYER_OF_ZERO = "layer of 0 is not defined; every power contains it"
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _valuation(x: int, p: int) -> int:
+    """Exponent of p in a nonzero x: its radical layer in Z_{p^e} or in
+    chain(p, e), whose elements are base-p digit strings of coefficients."""
+    if not x:
+        raise ValueError(_LAYER_OF_ZERO)
+    v = 0
+    while not x % p:
+        x //= p
+        v += 1
+    return v
+
+
+def _semisimple_layer(x: int) -> int:
+    """Layer in a ring with J = 0: every nonzero element is at layer 0."""
+    if not x:
+        raise ValueError(_LAYER_OF_ZERO)
+    return 0
+
+
+def matrix_rank(x: RingElement) -> int:
+    """Rank of a matrix-ring element: the dimension of its column space.
+
+    Each column is one base-q^k digit of the index, its entries base-q
+    digits (field indices), top entry most significant.  Each column is
+    reduced against the echelon basis found so far by fraction-free steps
+    v <- a*v - f*b (a the basis vector's pivot, f the entry of v there),
+    which keep v in the span iff it was and need no inverse; a column left
+    nonzero joins the basis at its first nonzero entry."""
+    ring = x.ring
+    if not isinstance(ring, MatrixRing):
+        raise ValidationError("matrix_rank needs an element of a matrix ring")
+    k, q, Q = ring.k, ring.q, ring.Q
+    gf = ring.field
+    # entries are integers mod q over a prime field, else field indices
+    # combined through the field's tables (or its per-call arithmetic
+    # above FIELD_TABLE_CAP)
+    prime = gf.r == 1
+    tables = None if prime else gf.tables()
+    if tables is not None:
+        add, mul, neg = tables
+    basis = []              # (pivot position, pivot value, vector)
+    idx = x.index
+    for _ in range(k):
+        idx, code = divmod(idx, Q)
+        if not code:
+            continue
+        v = [0] * k
+        for pos in range(k - 1, -1, -1):
+            code, v[pos] = divmod(code, q)
+        for pos, a, b in basis:
+            f = v[pos]
+            if not f:
+                continue
+            if prime:
+                v = [(a * s - f * t) % q for s, t in zip(v, b)]
+            elif tables is not None:
+                ma, mf = mul[a], mul[neg[f]]
+                v = [add[ma[s]][mf[t]] for s, t in zip(v, b)]
+            else:
+                nf = gf.neg(f)
+                v = [gf.add(gf.mul(a, s), gf.mul(nf, t)) for s, t in zip(v, b)]
+        for pos, e in enumerate(v):
+            if e:
+                basis.append((pos, e, v))
+                break
+    return len(basis)
+
+
+class Invariants:
+    """What closed-form dispatch and the spectrum labels ask of a ring.
+
+    is_unit(i) and radical_layer(i) take element indices; radical_layer is
+    the largest k with the element inside the k-th radical power (0 for a
+    unit) and, as in StructureReport, raises ValueError at 0.  q and n are
+    set for local rings only; t is the nilpotency index (J^t = 0 and
+    J^(t-1) != 0).  source names where the answers come from: "recipe" or
+    "structure report"."""
+
+    __slots__ = ("unit_count", "is_local", "q", "n", "t", "is_unit", "radical_layer",
+                 "source", "is_max_chain", "is_j2_zero")
+
+    def __init__(self, unit_count: int, is_local: bool, q: int | None, n: int | None,
+                 t: int, is_unit: Callable[[int], bool], radical_layer: Callable[[int], int],
+                 source: str = "recipe"):
+        self.unit_count = unit_count
+        self.is_local = is_local
+        self.q = q
+        self.n = n
+        self.t = t
+        self.is_unit = is_unit
+        self.radical_layer = radical_layer
+        self.source = source
+        self.is_max_chain = is_local and t == n
+        self.is_j2_zero = t <= 2
+
+
+def invariants(ring: Ring) -> Invariants:
+    """The ring's invariants from its recipe, or from structure_report for
+    rings without one; memoized on the ring instance."""
+    if ring._invariants is None:
+        ring._invariants = _from_recipe(ring) or _from_structure(ring)
+    return ring._invariants
+
+
+def _local(unit_count, q, n, t, is_unit, layer) -> Invariants:
+    return Invariants(unit_count, True, q, n, t, is_unit, layer)
+
+
+def _zmod(n: int) -> Invariants:
+    factors = sorted(_factorize(n).items())
+    unit_count = prod((p - 1) * p ** (e - 1) for p, e in factors)
+
+    if len(factors) == 1:
+        (p, e), = factors
+        return _local(unit_count, p, e, e, lambda i: i % p != 0, lambda i: _valuation(i, p))
+
+    def layer(i):
+        # CRT: the least layer over the prime-power components i is nonzero in
+        return min(v for p, e in factors if (v := _valuation(i, p)) < e)
+
+    return Invariants(unit_count, False, None, None, max(e for _, e in factors),
+                      lambda i: gcd(i, n) == 1, layer)
+
+
+def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
+    base, d, modulus = ring.base, ring.degree, ring.modulus
+    if isinstance(base, FieldRing) and not any(modulus[:-1]):
+        # chain(q, d) = GF(q)[t]/(t^d): x is a unit iff its constant term is
+        # nonzero, and its layer is the number of leading zero coefficients
+        q = base.size
+        return _local((q - 1) * q ** (d - 1), q, d, d,
+                      lambda i: i % q != 0, lambda i: _valuation(i, q))
+    if not isinstance(base, ZModRing):
+        return None
+    try:
+        p, k = factor_prime_power(base.n)
+    except NonPrime:
+        return None
+    if not is_irreducible(tuple(c % p for c in modulus), p):
+        return None
+    # GR(p, k, d): J = pR, so the layer of x is the least p-adic valuation
+    # of its coefficients (the base-p^k digits of its index), and x is a
+    # unit iff that is 0.  content(x) = p^layer, the gcd of p^k and them.
+    s = p ** k
+
+    def content(i):
+        g = s
+        while i and g > 1:
+            i, c = divmod(i, s)
+            g = gcd(g, c)
+        return g
+
+    return _local(s ** d - p ** ((k - 1) * d), p ** d, k, k,
+                  lambda i: content(i) == 1, lambda i: _valuation(content(i) if i else 0, p))
+
+
+def _product(ring: ProductRing) -> Invariants:
+    parts = [invariants(f) for f in ring.factors]
+
+    def is_unit(i):
+        return all(f.is_unit(c) for f, c in zip(parts, ring.decode(i)))
+
+    def layer(i):
+        if not i:
+            raise ValueError(_LAYER_OF_ZERO)
+        return min(f.radical_layer(c) for f, c in zip(parts, ring.decode(i)) if c)
+
+    return Invariants(prod(f.unit_count for f in parts), False, None, None,
+                      max(f.t for f in parts), is_unit, layer)
+
+
+def _trivial_extension(q: int, m: int) -> Invariants:
+    qm = q ** m             # index of (1, 0): units are exactly the indices >= qm
+
+    def layer(i):
+        if not i:
+            raise ValueError(_LAYER_OF_ZERO)
+        return 0 if i >= qm else 1
+
+    return _local((q - 1) * qm, q, m + 1, 2, lambda i: i >= qm, layer)
+
+
+def _from_recipe(ring: Ring) -> Invariants | None:
+    if isinstance(ring, ZModRing):
+        return _zmod(ring.n)
+    if isinstance(ring, FieldRing):
+        return _local(ring.size - 1, ring.size, 1, 1, bool, _semisimple_layer)
+    if isinstance(ring, MatrixRing):
+        k, q = ring.k, ring.q
+        units = prod(q ** k - q ** i for i in range(k))
+        is_unit = lambda i: matrix_rank(ring.element(i)) == k
+        if k == 1:
+            return _local(units, q, 1, 1, is_unit, _semisimple_layer)
+        return Invariants(units, False, None, None, 1, is_unit, _semisimple_layer)
+    if isinstance(ring, TrivialExtensionRing):
+        return _trivial_extension(ring.q, ring.m)
+    if isinstance(ring, PolyQuotientRing):
+        return _poly_quotient(ring)
+    if isinstance(ring, ProductRing):
+        return _product(ring)
+    return None
+
+
+def _from_structure(ring: Ring) -> Invariants:
+    report = structure_report(ring)
+    return Invariants(len(report.units), report.is_local, report.q, report.n,
+                      report.nilpotency_index, report.units.__contains__,
+                      report.radical_layer, "structure report")

@@ -2,8 +2,9 @@
 
 Every construction assigns each element an index in [0, |R|) with index 0
 the additive zero.  All arithmetic is exact integer arithmetic on indices;
-rings at or below DEFAULT_SIZE_CAP elements precompute full add/mul tables
-at construction time and are immutable afterwards.
+rings at or below DEFAULT_SIZE_CAP elements build full add/mul tables on
+the first table access (add_row, mul_row or an *_index call), so a query
+that never enumerates builds none.
 
 Additive presentation.  Each ring lists its summands, slowest first: an
 int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
@@ -55,7 +56,7 @@ from .finfield import (
     is_prime,
 )
 
-# Rings up to this size get full |R| x |R| operation tables at construction,
+# Rings up to this size get full |R| x |R| operation tables on first use,
 # and the enumeration engines refuse larger ones unless given cap=None.
 DEFAULT_SIZE_CAP = 4096
 
@@ -80,8 +81,9 @@ class Ring:
     def _init_tables(self) -> None:
         self._hash: int | None = None
         self._commutative: bool | None = None
-        # per-ring memos of structure_report and pair_counts
+        # per-ring memos of structure_report, pair_counts and invariants
         self._structure = None
+        self._invariants = None
         self._pair_counts: tuple[int, ...] | None = None
         self._mul_rows: list[array] | None = None
         self._add_rows: list[array] | None = None
@@ -95,12 +97,25 @@ class Ring:
             self._digits.append((stride, m, opaque))
             stride *= m
         self._cyclic = self.summands == (self.size,)
-        if self.size <= DEFAULT_SIZE_CAP:
-            self._build_tables()
-            self._neg_list = [self._neg(i) for i in range(self.size)]
 
-    def _build_tables(self) -> None:
-        """Build the add and mul tables from the additive presentation.
+    def _tables(self) -> bool:
+        """Build the add/mul tables and the negation list on first use;
+        False for a ring above DEFAULT_SIZE_CAP, which computes per call.
+
+        The mul rows are assigned last, so a ring whose mul rows are set
+        has all three; threads racing on the first use may each build
+        them, with equal results."""
+        if self._mul_rows is None:
+            if self.size > DEFAULT_SIZE_CAP:
+                return False
+            add_rows, mul_rows = self._build_tables()
+            self._neg_list = [self._neg(i) for i in range(self.size)]
+            self._add_rows = add_rows
+            self._mul_rows = mul_rows
+        return True
+
+    def _build_tables(self) -> tuple[list[array], list[array]]:
+        """(add rows, mul rows) from the additive presentation.
 
         Add row a: let v be a's slowest nonzero digit, at stride s, and
         rest = a - v*s, whose row is already built.  Then a + x = rest +
@@ -148,8 +163,7 @@ class Ring:
                     prods = [self._mul(a, c * stride) for c in range(1, m)]
                     row += [add_rows[x][y] for x in prods for y in row]
             mul_rows.append(array(code, row))
-        self._add_rows = add_rows
-        self._mul_rows = mul_rows
+        return add_rows, mul_rows
 
     # -- arithmetic: addition and negation digit by digit, _mul per class ----
 
@@ -210,30 +224,40 @@ class Ring:
 
     def add_index(self, i: int, j: int) -> int:
         rows = self._add_rows
-        return rows[i][j] if rows is not None else self._add(i, j)
+        if rows is None:
+            if not self._tables():
+                return self._add(i, j)
+            rows = self._add_rows
+        return rows[i][j]
 
     def mul_index(self, i: int, j: int) -> int:
         rows = self._mul_rows
-        return rows[i][j] if rows is not None else self._mul(i, j)
+        if rows is None:
+            if not self._tables():
+                return self._mul(i, j)
+            rows = self._mul_rows
+        return rows[i][j]
 
     def neg_index(self, i: int) -> int:
         neg = self._neg_list
-        return neg[i] if neg is not None else self._neg(i)
+        if neg is None:
+            if not self._tables():
+                return self._neg(i)
+            neg = self._neg_list
+        return neg[i]
 
     def sub_index(self, i: int, j: int) -> int:
         return self.add_index(i, self.neg_index(j))
 
     def mul_row(self, i: int) -> Sequence[int]:
         """Row i of the multiplication table: [i*0, i*1, ..., i*(n-1)]."""
-        rows = self._mul_rows
-        if rows is not None:
-            return rows[i]
+        if self._mul_rows is not None or self._tables():
+            return self._mul_rows[i]
         return array(_row_typecode(self.size), [self._mul(i, j) for j in range(self.size)])
 
     def add_row(self, i: int) -> Sequence[int]:
-        rows = self._add_rows
-        if rows is not None:
-            return rows[i]
+        if self._add_rows is not None or self._tables():
+            return self._add_rows[i]
         return array(_row_typecode(self.size), [self._add(i, j) for j in range(self.size)])
 
     def element(self, i: int) -> "RingElement":
@@ -719,10 +743,10 @@ class TableRing(Ring):
                     if mul[add[j][k]][i] != add[mul[j][i]][mul[k][i]]:
                         raise ValidationError("right distributivity fails")
 
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> tuple[list[array], list[array]]:
         code = _row_typecode(self.size)
-        self._mul_rows = [array(code, row) for row in self._table_mul]
-        self._add_rows = [array(code, row) for row in self._table_add]
+        return ([array(code, row) for row in self._table_add],
+                [array(code, row) for row in self._table_mul])
 
     def _add(self, i, j):
         return self._table_add[i][j]
@@ -780,17 +804,17 @@ class QuotientRing(Ring):
         self.summands = (self,)
         self._init_tables()
 
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> tuple[list[array], list[array]]:
         # Cosets add and multiply through their representatives: row i is
         # the parent's row of representative i, read at every representative
         # and mapped to cosets.
         code = _row_typecode(self.size)
         coset = [self._qidx[rep] for rep in self._cmap]
         reps = self._reps
-        self._add_rows = [array(code, [coset[row[r]] for r in reps])
-                          for row in map(self.parent.add_row, reps)]
-        self._mul_rows = [array(code, [coset[row[r]] for r in reps])
-                          for row in map(self.parent.mul_row, reps)]
+        return ([array(code, [coset[row[r]] for r in reps])
+                 for row in map(self.parent.add_row, reps)],
+                [array(code, [coset[row[r]] for r in reps])
+                 for row in map(self.parent.mul_row, reps)])
 
     def _assert_well_defined(self) -> None:
         parent, cmap = self.parent, self._cmap

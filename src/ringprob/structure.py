@@ -1,8 +1,12 @@
 """Structural data of a finite ring: units, zero-divisors, annihilators,
 the radical power chain, and the local-ring classification (q, n).
 
-Everything here is exhaustive over element indices; rings are expected to
-be at corpus scale (a few hundred elements).
+Everything here is exhaustive over element indices and reads the ring's
+tables; rings are expected to be at corpus scale (a few hundred to a few
+thousand elements).  `structure_report` is the enumeration oracle: the
+`structure` command and the verify suites read it, and closed-form
+dispatch (`recipe.invariants`) reads it only for rings without a recipe,
+i.e. table rings, quotient rings and other polynomial quotients.
 """
 
 from __future__ import annotations
@@ -185,22 +189,27 @@ class StructureReport:
         return k
 
 
-def _radical_members(ring: Ring, unit_set: frozenset[int]) -> frozenset[int]:
+def _nilpotents(ring: Ring) -> set[int]:
+    """Indices x with x^m = 0 for some m.  A nilpotent x has x^|R| = 0, so
+    squaring ceil(log2 |R|) times decides it."""
     n = ring.size
-    one = ring.one_index
-    members = []
+    out = set()
     for x in range(n):
-        if x in unit_set:
-            continue
-        ok = True
-        for a in range(n):
-            ax = ring.mul_index(a, x)
-            if ring.add_index(one, ring.neg_index(ax)) not in unit_set:
-                ok = False
-                break
-        if ok:
-            members.append(x)
-    return frozenset(members)
+        y, m = x, 1
+        while y and m < n:
+            y = ring.mul_index(y, y)
+            m *= 2
+        if not y:
+            out.add(x)
+    return out
+
+
+def _radical_members(ring: Ring) -> frozenset[int]:
+    """J = {x : xR is nil}.  In a finite ring J is nil and every nil right
+    ideal lies in J, so this is the Jacobson radical; it needs only the
+    mul rows."""
+    nil = _nilpotents(ring)
+    return frozenset(x for x in nil if nil.issuperset(ring.mul_row(x)))
 
 
 def _radical_chain(ring: Ring, j_members: frozenset[int]) -> tuple[Ideal, ...]:
@@ -231,7 +240,7 @@ def structure_report(ring: Ring) -> StructureReport:
         return ring._structure
     unit_set = units(ring)
     zd = zero_divisors(ring)
-    j_members = _radical_members(ring, unit_set)
+    j_members = _radical_members(ring)
     chain = _radical_chain(ring, j_members)
     t = len(chain)
 

@@ -213,6 +213,23 @@ class TestMalformedInput:
         assert code == 2
         assert "cannot load table ring" in err
 
+    def test_empty_corpus_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text("[]")
+        code, out, err = run_cli(capsys, "verify", "--corpus", str(path))
+        assert code == 2
+        assert out == ""
+        assert "lists no ring specs" in err
+
+    def test_bad_corpus_entry_is_named(self, capsys, tmp_path):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(["Z4", "Q7"]))
+        code, out, err = run_cli(capsys, "verify", "--corpus", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: corpus entry 2 ('Q7'): expected a ring atom "
+                       "(Z, GF, M, chain, GR, triv, table:) (at position 0)\n")
+
     def test_size_past_int_str_limit_hits_size_cap(self, capsys):
         # |M300(GF2)| = 2^90000 has more decimal digits than str() allows
         code, _, err = run_cli(capsys, "structure", "--ring", "M300(GF2)")

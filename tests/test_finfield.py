@@ -4,7 +4,9 @@ import pytest
 
 from ringprob.errors import DegreeOutOfRange, DivisionByZero, MixedFields, NonPrime
 from ringprob.finfield import (
+    FIELD_TABLE_CAP,
     FieldElement,
+    GaloisField,
     field_add,
     field_enumerate,
     field_inv,
@@ -176,3 +178,19 @@ class TestGroupLaws:
         for p, r in [(2, 3), (3, 2)]:
             f = field_make(p, r)
             assert len(field_enumerate(f)) == p ** r
+
+
+class TestLazyTables:
+    @pytest.mark.parametrize("op, args", [("add", (3, 5)), ("mul", (3, 5)), ("neg", (3,))])
+    def test_built_on_first_operation(self, op, args):
+        gf = GaloisField(field_make(3, 3))      # a fresh engine, not the shared one
+        assert (gf.add_table, gf.mul_table, gf.neg_table) == (None, None, None)
+        assert getattr(gf, op)(*args) == getattr(gf, f"_{op}_raw")(*args)
+        assert gf.mul_table is not None and gf.add_table is not None
+        assert gf.tables() == (gf.add_table, gf.mul_table, gf.neg_table)
+
+    def test_never_built_above_the_cap(self):
+        gf = GaloisField(field_make(3, 6))
+        assert gf.order > FIELD_TABLE_CAP
+        assert gf.mul(5, 7) == gf._mul_raw(5, 7)
+        assert gf.tables() is None and gf.mul_table is None

@@ -367,7 +367,8 @@ class TestMemoTables:
     ])
     def test_build_calls_mul_only_on_generators(self, ring_factory, cls, monkeypatch):
         """The table build calls _mul on (a, digit generator) pairs only,
-        never on all |R|^2 pairs."""
+        never on all |R|^2 pairs.  Construction builds nothing: the first
+        table access does."""
         calls = []
         structural = cls._mul
 
@@ -377,4 +378,6 @@ class TestMemoTables:
 
         monkeypatch.setattr(cls, "_mul", counted)
         ring = ring_factory()
+        assert not calls
+        ring.mul_row(0)
         assert 0 < len(calls) <= ring.size * len(ring.radices)

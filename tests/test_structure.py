@@ -2,7 +2,7 @@
 
 import pytest
 
-from ringprob.corpus import default_corpus
+from ringprob.corpus import default_corpus, fixture_path
 from ringprob.errors import NotAnIdeal, NotLocal
 from ringprob.rings import (
     chain_ring,
@@ -13,8 +13,10 @@ from ringprob.rings import (
     trivial_extension,
     zmod,
 )
+from ringprob.specparse import parse_ring_spec
 from ringprob.structure import (
     Ideal,
+    _radical_members,
     ideal_size_power_check,
     jacobson_radical,
     left_right_symmetry_check,
@@ -39,6 +41,22 @@ def nilradical(ring):
                 break
             power = ring.mul_index(power, x)
     return frozenset(out)
+
+
+def radical_by_unit_shifts(ring):
+    """Oracle for any finite ring: the definition J = {x : 1 - ax is a unit
+    for every a}, checked pair by pair through mul_index and add_index."""
+    unit_set = units(ring)
+    one = ring.one_index
+    return frozenset(
+        x for x in range(ring.size)
+        if x not in unit_set and all(
+            ring.add_index(one, ring.neg_index(ring.mul_index(a, x))) in unit_set
+            for a in range(ring.size)))
+
+
+RADICAL_EXTRA_SPECS = ["GR(3,2,2)", "chain(4,3)", "M2(GF5)", "triv(4,2)", "Z360",
+                       "Z8 x GF8", "table:<fixture> x Z3", "Z4 x Z4 x Z2"]
 
 
 class TestUnits:
@@ -164,6 +182,19 @@ class TestRadical:
             j = jacobson_radical(ring)
             residue = quotient_make(ring, j.members)
             assert jacobson_radical(residue).members == {0}
+
+    @pytest.mark.parametrize("spec", [name for name, _ in default_corpus()]
+                             + RADICAL_EXTRA_SPECS)
+    def test_nil_right_ideal_definition_matches_unit_shifts(self, spec):
+        """J computed as {x : xR is nil} from the mul rows equals the
+        definition through units, on every ring and on its residue ring."""
+        ring = dict(default_corpus()).get(spec) or parse_ring_spec(
+            spec.replace("<fixture>", fixture_path()))
+        j = _radical_members(ring)
+        assert j == radical_by_unit_shifts(ring)
+        if len(j) > 1:
+            residue = quotient_make(ring, j)
+            assert _radical_members(residue) == radical_by_unit_shifts(residue) == {0}
 
     def test_chain_strictly_decreases(self):
         for _, ring in default_corpus():
