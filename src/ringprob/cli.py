@@ -1,7 +1,8 @@
 """Command-line front end: prob, spectrum, structure, and verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation
-error, 3 size-cap refusal (override with --force).
+error, 3 size-cap refusal (override with --force), 4 internal error (any
+other exception; reported on one line, with no traceback).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from .closedform import prob_auto, prob_formula
 from .corpus import corpus_from_file, default_corpus
 from .errors import RingProbError, SizeCapExceeded, ValidationError
 from .probability import ProbFraction, prob_annsum, prob_brute, spectrum
-from .rings import DEFAULT_SIZE_CAP, check_size_cap
+from .rings import DEFAULT_SIZE_CAP
 from .specparse import parse_element, parse_ring_spec
 from .structure import structure_report
 from .verify import SUITES, run_suites
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_SIZE_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _cap(args) -> int | None:
@@ -40,8 +42,7 @@ def _scaled_hits(value: ProbFraction, size: int) -> int:
 
 
 def cmd_prob(args) -> int:
-    ring = parse_ring_spec(args.ring)
-    check_size_cap(ring, _cap(args))
+    ring = parse_ring_spec(args.ring, _cap(args))
     x = parse_element(ring, args.x)
     method = args.method
     formula_tag = None
@@ -76,8 +77,7 @@ def cmd_prob(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    ring = parse_ring_spec(args.ring)
-    check_size_cap(ring, _cap(args))
+    ring = parse_ring_spec(args.ring, _cap(args))
     report = spectrum(ring, cap=None)
     rows = [
         {
@@ -110,8 +110,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    ring = parse_ring_spec(args.ring)
-    check_size_cap(ring, _cap(args))
+    ring = parse_ring_spec(args.ring, _cap(args))
     rep = structure_report(ring)
     payload = {
         "size": ring.size,
@@ -133,9 +132,7 @@ def cmd_verify(args) -> int:
     if args.corpus == "default":
         corpus = default_corpus()
     else:
-        corpus = corpus_from_file(args.corpus)
-    for _, ring in corpus:
-        check_size_cap(ring, _cap(args))
+        corpus = corpus_from_file(args.corpus, _cap(args))
     suite_ids = None if args.suite == "all" else [args.suite]
     results = run_suites(suite_ids, corpus)
 
@@ -228,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, RingProbError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:    # last resort: a bug, never exit 1 or a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -67,9 +67,10 @@ def default_corpus() -> tuple[tuple[str, Ring], ...]:
     return tuple(members)
 
 
-def corpus_from_file(path: str) -> tuple[tuple[str, Ring], ...]:
-    """Custom corpus: a non-empty JSON array of ring-spec strings.  A spec
-    that fails to parse is named in the error with its 1-based entry."""
+def corpus_from_file(path: str, cap: int | None = None) -> tuple[tuple[str, Ring], ...]:
+    """Custom corpus: a non-empty JSON array of ring-spec strings, each
+    bounded by parse_ring_spec's cap.  A spec that fails to parse is named
+    in the error with its 1-based entry."""
     import json
 
     from .errors import ParseError, ValidationError
@@ -86,7 +87,7 @@ def corpus_from_file(path: str) -> tuple[tuple[str, Ring], ...]:
     corpus = []
     for number, spec in enumerate(specs, 1):
         try:
-            corpus.append((spec, parse_ring_spec(spec)))
+            corpus.append((spec, parse_ring_spec(spec, cap)))
         except (ParseError, ValidationError) as exc:
             raise ValidationError(f"corpus entry {number} ({spec!r}): {exc}") from exc
     return tuple(corpus)

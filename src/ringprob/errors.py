@@ -32,11 +32,16 @@ class DivisionByZero(RingProbError, ZeroDivisionError):
 class SizeCapExceeded(RingProbError):
     """Ring is larger than the enumeration size cap."""
 
-    def __init__(self, size: int, cap: int):
-        try:
-            count = str(size)
-        except ValueError:      # more digits than int-to-str conversion allows
-            count = f"at least 2^{size.bit_length() - 1}"
+    def __init__(self, size: int | None, cap: int, min_bits: int = 0):
+        """size is the ring's order, or None when only order >= 2^min_bits
+        is known."""
+        if size is None:
+            count = f"at least 2^{min_bits}"
+        else:
+            try:
+                count = str(size)
+            except ValueError:      # more digits than int-to-str conversion allows
+                count = f"at least 2^{size.bit_length() - 1}"
         super().__init__(f"ring has {count} elements, above the cap of {cap} "
                          f"(use --force / cap=None to override)")
         self.size = size

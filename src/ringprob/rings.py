@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -201,6 +202,13 @@ class Ring:
         """Radices of the element index's digits, slowest first."""
         return tuple(m for _, m, _ in reversed(self._digits))
 
+    def additive_generators(self) -> list[int]:
+        """Elements whose sums give every element, fastest digit first: the
+        unit vector of each cyclic digit and every nonzero value of each
+        opaque digit, i.e. the elements _build_tables multiplies by."""
+        return [g for stride, m, opaque in self._digits
+                for g in ([stride] if opaque is None else range(stride, m * stride, stride))]
+
     def decode(self, i: int):
         """Structural form of element i; encode() inverts it."""
         raise NotImplementedError
@@ -254,6 +262,12 @@ class Ring:
         if self._mul_rows is not None or self._tables():
             return self._mul_rows[i]
         return array(_row_typecode(self.size), [self._mul(i, j) for j in range(self.size)])
+
+    def mul_column(self, j: int) -> list[int]:
+        """Column j of the multiplication table: [0*j, 1*j, ..., (n-1)*j]."""
+        if self._mul_rows is not None or self._tables():
+            return list(map(itemgetter(j), self._mul_rows))
+        return [self._mul(i, j) for i in range(self.size)]
 
     def add_row(self, i: int) -> Sequence[int]:
         if self._add_rows is not None or self._tables():
@@ -785,22 +799,26 @@ class QuotientRing(Ring):
         self.parent = parent
         self.members = members
         pn = parent.size
-        ideal = sorted(members)
+        ideal = list(members)
         cmap = [-1] * pn  # parent index -> minimal index of its coset
+        reps = []
+        cosets = []
         for x in range(pn):
-            if cmap[x] >= 0:
-                continue
-            coset = sorted(parent.add_index(x, i) for i in ideal)
-            rep = coset[0]
-            for y in coset:
-                cmap[y] = rep
-        reps = sorted(set(cmap))
+            if cmap[x] < 0:
+                # every smaller index already lies in another coset, so x
+                # is the minimal index of x + I
+                row = parent.add_row(x)
+                coset = [row[i] for i in ideal]
+                for y in coset:
+                    cmap[y] = x
+                reps.append(x)
+                cosets.append(coset)
         self._cmap = cmap
         self._reps = reps
         self._qidx = {rep: t for t, rep in enumerate(reps)}
         self.size = len(reps)
         self.one_index = self._qidx[cmap[parent.one_index]]
-        self._assert_well_defined()
+        self._assert_well_defined(cosets)
         self.summands = (self,)
         self._init_tables()
 
@@ -816,13 +834,16 @@ class QuotientRing(Ring):
                 [array(code, [coset[row[r]] for r in reps])
                  for row in map(self.parent.mul_row, reps)])
 
-    def _assert_well_defined(self) -> None:
+    def _assert_well_defined(self, cosets: list[list[int]]) -> None:
+        """cmap[x*y] == cmap[rep(x)*rep(y)] for every parent pair, compared
+        a whole row at a time: cmap o row_x against cmap o row_rep o cmap,
+        whose right side is computed once per coset."""
         parent, cmap = self.parent, self._cmap
-        for x in range(parent.size):
-            rowx = parent.mul_row(x)
-            rowr = parent.mul_row(cmap[x])
-            for y in range(parent.size):
-                if cmap[rowx[y]] != cmap[rowr[cmap[y]]]:
+        for rep, coset in zip(self._reps, cosets):
+            got = [cmap[v] for v in parent.mul_row(rep)]
+            want = [got[c] for c in cmap]
+            for x in coset:
+                if [cmap[v] for v in parent.mul_row(x)] != want:
                     raise NotAnIdeal("multiplication is not well-defined on cosets")
 
     def _add(self, i, j):
@@ -863,24 +884,34 @@ class QuotientRing(Ring):
 
 
 def validate_ideal(ring: Ring, members: frozenset[int]) -> None:
-    """Raise NotAnIdeal unless members is a two-sided ideal of the ring."""
+    """Raise NotAnIdeal unless members is a two-sided ideal of the ring.
+
+    Addition is checked on every pair of members.  A finite set that
+    contains 0 and is closed under addition is an additive subgroup, so
+    x*(c_1 e_1 + ... + c_d e_d) = c_1 (x e_1) + ... + c_d (x e_d) stays in
+    it once every x*e_k does, and likewise on the left: multiplication is
+    checked against the ring's d additive generators e_k only, O(|I| * d)
+    products instead of O(|I| * |R|).
+    """
     if not members:
         raise NotAnIdeal("ideal is empty")
     if 0 not in members:
         raise NotAnIdeal("ideal does not contain 0")
     if any(not 0 <= x < ring.size for x in members):
         raise NotAnIdeal("ideal contains out-of-range indices")
+    # whole-row gathers: each test reads one row or column at every member
     for x in members:
         row = ring.add_row(x)
-        if any(row[y] not in members for y in members):
+        if not members.issuperset([row[y] for y in members]):
             raise NotAnIdeal("ideal is not closed under addition")
-    for x in members:
-        row = ring.mul_row(x)
-        if any(row[a] not in members for a in range(ring.size)):
+    generators = ring.additive_generators()
+    for e in generators:
+        col = ring.mul_column(e)
+        if not members.issuperset([col[x] for x in members]):
             raise NotAnIdeal("ideal is not closed under right multiplication")
-    for a in range(ring.size):
-        row = ring.mul_row(a)
-        if any(row[x] not in members for x in members):
+    for e in generators:
+        row = ring.mul_row(e)
+        if not members.issuperset([row[x] for x in members]):
             raise NotAnIdeal("ideal is not closed under left multiplication")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, SizeCapExceeded, ValidationError
 from .rings import (
     FieldRing,
     MatrixRing,
@@ -29,6 +29,7 @@ from .rings import (
     TrivialExtensionRing,
     ZModRing,
     chain_ring,
+    check_size_cap,
     field_ring,
     galois_ring,
     matrix_ring,
@@ -36,6 +37,12 @@ from .rings import (
     trivial_extension,
     zmod,
 )
+
+# A spec whose ring has 2^MAX_ORDER_BITS elements or more is refused even
+# with the size cap lifted: its order, and the |R|^2 that `prob` prints,
+# would pass the 4300 digits Python converts to text, and constructions
+# that size exhaust memory before any cap check could run.
+MAX_ORDER_BITS = 4096
 
 _ATOMS = [
     ("matrix", re.compile(r"M(\d+)\(\s*GF(\d+)\s*\)")),
@@ -48,21 +55,21 @@ _ATOMS = [
 ]
 
 
-def _build_atom(kind: str, groups: tuple[str, ...]) -> Ring:
+def _build_atom(kind: str, args: tuple) -> Ring:
     if kind == "zmod":
-        return zmod(int(groups[0]))
+        return zmod(*args)
     if kind == "gf":
-        return field_ring(int(groups[0]))
+        return field_ring(*args)
     if kind == "matrix":
-        return matrix_ring(int(groups[0]), int(groups[1]))
+        return matrix_ring(*args)
     if kind == "chain":
-        return chain_ring(int(groups[0]), int(groups[1]))
+        return chain_ring(*args)
     if kind == "gr":
-        return galois_ring(int(groups[0]), int(groups[1]), int(groups[2]))
+        return galois_ring(*args)
     if kind == "triv":
-        return trivial_extension(int(groups[0]), int(groups[1]))
+        return trivial_extension(*args)
     if kind == "table":
-        path = groups[0]
+        path = args[0]
         try:
             return table_ring_from_json(path)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -70,8 +77,55 @@ def _build_atom(kind: str, groups: tuple[str, ...]) -> Ring:
     raise AssertionError(kind)
 
 
-def parse_ring_spec(text: str) -> Ring:
-    """Parse the grammar above into a validated ring descriptor."""
+def _atom_power(kind: str, args: tuple) -> tuple[int, int]:
+    """(b, e) with b^e elements in the atom, from the spec's integers."""
+    if kind == "matrix":
+        k, q = args
+        return q, k * k
+    if kind in ("chain", "triv"):
+        q, m = args
+        return q, m + (kind == "triv")
+    if kind == "gr":
+        p, k, r = args
+        return p, k * r
+    return args[0], 1       # zmod, gf
+
+
+def _check_order(atoms: list[tuple[str, tuple]], cap: int | None) -> None:
+    """Refuse a spec whose order is above cap, or at least 2^MAX_ORDER_BITS,
+    before anything is built.  Table atoms count as 1 here (they hold at
+    most TABLE_RING_CAP elements), and so do atoms whose integers their
+    constructors reject."""
+    powers = [(b, e) for b, e in (_atom_power(kind, args) for kind, args in atoms
+                                  if kind != "table") if b >= 2 and e >= 1]
+    # b^e < 2^(e * b.bit_length()), and b^e >= 2^(e * (b.bit_length() - 1)),
+    # which is at least half the upper exponent since b >= 2
+    if sum(e * b.bit_length() for b, e in powers) <= 2 * MAX_ORDER_BITS:
+        order = 1
+        for b, e in powers:
+            order *= b ** e
+        if cap is not None and order > cap:
+            raise SizeCapExceeded(order, cap)
+        bits = order.bit_length() - 1
+    else:
+        bits = sum(e * (b.bit_length() - 1) for b, e in powers)
+        if cap is not None:
+            raise SizeCapExceeded(None, cap, bits)
+    if bits >= MAX_ORDER_BITS:
+        raise ValidationError(f"ring has at least 2^{bits} elements; specs of "
+                              f"2^{MAX_ORDER_BITS} elements or more are refused "
+                              f"even with the size cap lifted")
+
+
+def parse_ring_spec(text: str, cap: int | None = None) -> Ring:
+    """Parse the grammar above into a validated ring descriptor.
+
+    A ring above cap (None lifts it) raises SizeCapExceeded, and one of
+    2^MAX_ORDER_BITS elements or more raises ValidationError whatever the
+    cap.  Both are decided from the spec's integers before any atom is
+    built, except for products with a table atom, which are checked
+    against cap once built.
+    """
     pos = 0
     n = len(text)
 
@@ -80,7 +134,7 @@ def parse_ring_spec(text: str) -> Ring:
             p += 1
         return p
 
-    atoms: list[Ring] = []
+    atoms: list[tuple[str, tuple]] = []
     pos = skip_ws(pos)
     if pos == n:
         raise ParseError("empty ring spec", pos)
@@ -88,7 +142,13 @@ def parse_ring_spec(text: str) -> Ring:
         for kind, rx in _ATOMS:
             m = rx.match(text, pos)
             if m:
-                atoms.append(_build_atom(kind, m.groups()))
+                args = m.groups()
+                if kind != "table":
+                    try:
+                        args = tuple(map(int, args))
+                    except ValueError:      # more digits than int() converts
+                        raise ParseError("integer too long", pos) from None
+                atoms.append((kind, args))
                 pos = m.end()
                 break
         else:
@@ -101,9 +161,11 @@ def parse_ring_spec(text: str) -> Ring:
         pos = skip_ws(pos + 1)
         if pos == n:
             raise ParseError("trailing 'x' with no ring atom", pos)
-    if len(atoms) == 1:
-        return atoms[0]
-    return ProductRing(atoms)
+    _check_order(atoms, cap)
+    rings = [_build_atom(kind, args) for kind, args in atoms]
+    ring = rings[0] if len(rings) == 1 else ProductRing(rings)
+    check_size_cap(ring, cap)       # table atoms are sized only once loaded
+    return ring
 
 
 # ---------------------------------------------------------------------------

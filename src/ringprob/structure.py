@@ -7,6 +7,14 @@ thousand elements).  `structure_report` is the enumeration oracle: the
 `structure` command and the verify suites read it, and closed-form
 dispatch (`recipe.invariants`) reads it only for rings without a recipe,
 i.e. table rings, quotient rings and other polynomial quotients.
+
+The work is done a whole row at a time: J is {x : xR is nil}, each
+radical power's products and the locality test read one table row per
+element, a principal ideal RgR is the union of the rows xR over the
+column Rg, and additive closures grow by doubling.  Every ideal is still
+validated (`rings.validate_ideal`), which checks products only against
+the ring's additive generators, so a radical power I costs O(|I|^2) sums
+and O(|I| * d) products for d generators.
 """
 
 from __future__ import annotations
@@ -51,23 +59,28 @@ def additive_closure(ring: Ring, generators: Iterable[int],
                      stop_when_full: bool = False) -> frozenset[int]:
     """Smallest additive subgroup containing the generators.
 
+    Each new generator g joins by doubling: with H the closure so far,
+    S = H + {0, g, ..., (2^j - 1) g} grows by S + 2^j g until 2^j g lies in
+    S, which happens exactly when S = H + <g>, so each generator costs
+    log2 of its order modulo H row gathers.
+
     With stop_when_full, returns the full index set as soon as the closure
     is forced to be the whole group (size beyond half the ring).
     """
     n = ring.size
     closure: set[int] = {0}
-    for g in sorted(set(generators)):
-        if g in closure:
-            continue
-        grown = set(closure)
-        cur = g
-        while cur not in closure:
-            grown.update(ring.add_index(s, cur) for s in closure)
-            cur = ring.add_index(cur, g)
-        closure = grown
+    todo = set(generators)
+    while True:
+        todo -= closure
+        if not todo:
+            return frozenset(closure)
+        step = min(todo)
+        while step not in closure:
+            row = ring.add_row(step)
+            closure.update([row[s] for s in closure])
+            step = row[step]
         if stop_when_full and len(closure) > n // 2:
             return frozenset(range(n))  # subgroup order divides n
-    return frozenset(closure)
 
 
 def units(ring: Ring) -> frozenset[int]:
@@ -140,16 +153,25 @@ def principal_two_sided_ideal(ring: Ring, g: RingElement | int) -> Ideal:
 
 
 def principal_ideal_members(ring: Ring, gi: int) -> frozenset[int]:
-    """Index set of the two-sided ideal generated by element gi."""
+    """Index set of the two-sided ideal generated by element gi.
+
+    RgR is the union of the rows xR over x in Rg, the column of gi.  Row
+    gR is taken first, and any x already inside a row taken, say x = y*r,
+    is skipped, since then xR lies inside yR.
+    """
     n = ring.size
     if gi == 0:
         return frozenset({0})
-    left_multiples = {ring.mul_index(a, gi) for a in range(n)}
-    generators: set[int] = set()
-    for x in left_multiples:
-        generators.update(ring.mul_row(x))
-        if ring.one_index in generators:
-            return frozenset(range(n))
+    one = ring.one_index
+    generators = set(ring.mul_row(gi))
+    if one not in generators:
+        for x in set(ring.mul_column(gi)):
+            if x not in generators:
+                generators.update(ring.mul_row(x))
+                if one in generators:
+                    break
+    if one in generators:
+        return frozenset(range(n))
     return additive_closure(ring, generators, stop_when_full=True)
 
 
@@ -216,7 +238,10 @@ def _radical_chain(ring: Ring, j_members: frozenset[int]) -> tuple[Ideal, ...]:
     chain = [Ideal(ring, j_members)]
     while not chain[-1].is_zero:
         prev = chain[-1].members
-        seed = {ring.mul_index(a, b) for a in prev for b in j_members}
+        seed = set()
+        for a in prev:
+            row = ring.mul_row(a)
+            seed.update([row[b] for b in j_members])
         nxt = additive_closure(ring, seed)
         if len(nxt) >= len(prev):
             raise AssertionError("radical powers failed to decrease strictly")
@@ -228,9 +253,8 @@ def _nonunits_add_closed(ring: Ring, unit_set: frozenset[int]) -> bool:
     nonunits = [x for x in range(ring.size) if x not in unit_set]
     for x in nonunits:
         row = ring.add_row(x)
-        for y in nonunits:
-            if row[y] in unit_set:
-                return False
+        if not unit_set.isdisjoint([row[y] for y in nonunits]):
+            return False
     return True
 
 

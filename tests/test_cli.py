@@ -1,10 +1,17 @@
 """Command-line behaviour: output schemas, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ringprob import cli
 from ringprob.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +248,58 @@ class TestMalformedInput:
         code, _, err = run_cli(capsys, "prob", "--ring", "GF1000000007", "--x", "0")
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("spec, bits", [
+        ("M1000000(GF2)", 10 ** 12),
+        ("chain(2,1000000000000)", 10 ** 12),
+        ("GR(2,1000000,1000000)", 10 ** 12),
+        ("triv(3,1000000000000)", 10 ** 12 + 1),
+        ("Z6 x M1000000(GF2)", 10 ** 12 + 2),
+    ])
+    def test_huge_order_is_refused_before_it_is_built(self, spec, bits):
+        """The order is bounded from the spec's integers, so neither run
+        builds the ring: exit 3 under the cap, exit 2 with --force.  Each
+        runs in its own process with a timeout, since building such a ring
+        grows memory without bound."""
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for extra, code, text in (([], 3, f"at least 2^{bits} elements, above the cap"),
+                                  (["--force"], 2, "even with the size cap lifted")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ringprob.cli", "structure", "--ring", spec, *extra],
+                capture_output=True, text=True, timeout=20, env=env)
+            assert proc.returncode == code
+            assert proc.stdout == ""
+            assert text in proc.stderr
+
+    def test_hard_limit_is_the_exact_order(self, capsys):
+        # 2^4095 elements is answered under --force by a closed form;
+        # 2^4096 is refused
+        code, out, _ = run_cli(capsys, "prob", "--ring", "Z2 x M5(GF2) x chain(2,4069)",
+                               "--x", "#0", "--method", "formula", "--force")
+        assert code == 0
+        assert json.loads(out)["size"] == 2 ** 4095
+        code, out, err = run_cli(capsys, "prob", "--ring", "Z2 x M5(GF2) x chain(2,4070)",
+                                 "--x", "#0", "--method", "formula", "--force")
+        assert code == 2 and out == ""
+        assert err == ("error: ring has at least 2^4096 elements; specs of 2^4096 "
+                       "elements or more are refused even with the size cap lifted\n")
+
+    def test_overlong_integer_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "structure", "--ring", "Z" + "7" * 5000)
+        assert code == 2 and out == ""
+        assert err == "error: integer too long (at position 0)\n"
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4_without_traceback(self, capsys, monkeypatch):
+        def boom(ring):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "structure_report", boom)
+        code, out, err = run_cli(capsys, "structure", "--ring", "Z4")
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
 
 
 class TestUsage:

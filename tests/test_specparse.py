@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ringprob.corpus import default_corpus
-from ringprob.errors import ParseError, ValidationError
+from ringprob.errors import ParseError, SizeCapExceeded, ValidationError
 from ringprob.rings import (
     MatrixRing,
     ProductRing,
@@ -83,6 +83,36 @@ class TestGrammar:
     def test_round_trip_whole_corpus(self):
         for _, ring in default_corpus():
             assert parse_ring_spec(ring.describe()) == ring
+
+
+class TestOrderBound:
+    """parse_ring_spec bounds the order from the spec's integers before
+    building anything."""
+
+    def test_cap_refusal_names_the_exact_order_when_cheap(self):
+        with pytest.raises(SizeCapExceeded, match="ring has 9765625 elements, above the cap of 4096"):
+            parse_ring_spec("Z5 x M3(GF5)", cap=4096)
+        assert parse_ring_spec("M2(GF8)", cap=4096).size == 4096
+
+    def test_cap_refusal_gives_a_lower_bound_when_huge(self):
+        with pytest.raises(SizeCapExceeded, match=r"at least 2\^3000000000000 elements"):
+            parse_ring_spec("M1000000(GF8)", cap=4096)
+
+    def test_product_with_a_table_is_checked_once_built(self):
+        fixture = [r for name, r in default_corpus() if name.startswith("table:")][0]
+        with pytest.raises(SizeCapExceeded, match="ring has 8000 elements"):
+            parse_ring_spec(f"table:{fixture.source_path} x Z1000", cap=4096)
+
+    def test_hard_limit_holds_without_a_cap(self):
+        with pytest.raises(ValidationError, match=r"at least 2\^4096 elements"):
+            parse_ring_spec("M64(GF2)")
+        assert parse_ring_spec("M63(GF2)").size == 2 ** 3969
+
+    def test_invalid_atoms_are_left_to_their_constructors(self):
+        with pytest.raises(ValidationError, match="matrix dimension must be >= 1"):
+            parse_ring_spec("M0(GF2)", cap=4096)
+        with pytest.raises(ValidationError, match="ZMod needs modulus >= 2"):
+            parse_ring_spec("Z1 x Z3", cap=4096)
 
 
 class TestElementLiterals:

@@ -2,6 +2,9 @@
 
 import pytest
 
+import random
+
+from ringprob import rings
 from ringprob.corpus import default_corpus, fixture_path
 from ringprob.errors import NotAnIdeal, NotLocal
 from ringprob.rings import (
@@ -17,9 +20,11 @@ from ringprob.specparse import parse_ring_spec
 from ringprob.structure import (
     Ideal,
     _radical_members,
+    additive_closure,
     ideal_size_power_check,
     jacobson_radical,
     left_right_symmetry_check,
+    principal_ideal_members,
     principal_two_sided_ideal,
     radical_powers,
     right_annihilator,
@@ -316,3 +321,154 @@ class TestIdealValidation:
     def test_accepts_radical(self):
         ideal = Ideal(zmod(12), frozenset({0, 6}))
         assert ideal.is_proper and not ideal.is_zero
+
+
+def validate_ideal_all_pairs(ring, members):
+    """Oracle: the ideal axioms straight from the definition, every member
+    against every member (addition) and every ring element (products)."""
+    if not members:
+        raise NotAnIdeal("ideal is empty")
+    if 0 not in members:
+        raise NotAnIdeal("ideal does not contain 0")
+    if any(not 0 <= x < ring.size for x in members):
+        raise NotAnIdeal("ideal contains out-of-range indices")
+    if any(ring.add_index(x, y) not in members for x in members for y in members):
+        raise NotAnIdeal("ideal is not closed under addition")
+    everything = range(ring.size)
+    if any(ring.mul_index(x, a) not in members for x in members for a in everything):
+        raise NotAnIdeal("ideal is not closed under right multiplication")
+    if any(ring.mul_index(a, x) not in members for a in everything for x in members):
+        raise NotAnIdeal("ideal is not closed under left multiplication")
+
+
+def subgroup_oracle(ring, generators):
+    """Oracle: additive closure by adding one multiple of a generator at a
+    time (no doubling)."""
+    closure = {0}
+    for g in sorted(set(generators)):
+        grown, cur = set(closure), g
+        while cur not in closure:
+            grown.update(ring.add_index(s, cur) for s in closure)
+            cur = ring.add_index(cur, g)
+        closure = grown
+    return frozenset(closure)
+
+
+def _quotient_of_table_x_z4():
+    # table x Z4 modulo 0 x 2Z4: a noncommutative ring that is one opaque digit
+    ring = parse_ring_spec(f"table:{fixture_path()} x Z4")
+    return quotient_make(ring, {0, 2})
+
+
+NONCOMMUTATIVE = {
+    "M2(GF2)": lambda: matrix_ring(2, 2),
+    "table": lambda: parse_ring_spec(f"table:{fixture_path()}"),
+    "table x Z3": lambda: parse_ring_spec(f"table:{fixture_path()} x Z3"),
+    "Z2 x M2(GF2)": lambda: parse_ring_spec("Z2 x M2(GF2)"),
+    "quotient": _quotient_of_table_x_z4,
+}
+
+
+def _outcome(check, ring, members):
+    try:
+        check(ring, members)
+    except NotAnIdeal as exc:
+        return str(exc)
+    return "ideal"
+
+
+def _one_sided(ring):
+    """(left ideals Ra, right ideals aR) that are not two-sided, by the oracle."""
+    n = ring.size
+    left = {subgroup_oracle(ring, [ring.mul_index(b, a) for b in range(n)]) for a in range(n)}
+    right = {subgroup_oracle(ring, [ring.mul_index(a, b) for b in range(n)]) for a in range(n)}
+    return ([m for m in left if _outcome(validate_ideal_all_pairs, ring, m) != "ideal"],
+            [m for m in right if _outcome(validate_ideal_all_pairs, ring, m) != "ideal"])
+
+
+class TestFastIdealChecks:
+    """validate_ideal checks products only against the additive generators,
+    principal ideals read rows and columns, and quotients compare whole
+    rows; each must agree with the definition."""
+
+    @pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE))
+    def test_one_sided_ideals_rejected_with_same_message(self, name):
+        ring = NONCOMMUTATIVE[name]()
+        left, right = _one_sided(ring)
+        assert left and right, "ring should have ideals that are only left or only right"
+        for members in left + right:
+            expected = _outcome(validate_ideal_all_pairs, ring, members)
+            assert expected.startswith("ideal is not closed under")
+            assert _outcome(rings.validate_ideal, ring, members) == expected
+        assert {_outcome(validate_ideal_all_pairs, ring, m) for m in left} == {
+            "ideal is not closed under right multiplication"}
+        assert {_outcome(validate_ideal_all_pairs, ring, m) for m in right} == {
+            "ideal is not closed under left multiplication"}
+
+    @pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE))
+    def test_agrees_with_definition_on_seeded_sets(self, name):
+        ring = NONCOMMUTATIVE[name]()
+        rnd = random.Random(5)
+        n = ring.size
+        sets = [principal_ideal_members(ring, g) for g in range(n)]
+        sets += [subgroup_oracle(ring, rnd.sample(range(n), 2)) for _ in range(40)]
+        sets += [frozenset({0, *rnd.sample(range(1, n), 3)}) for _ in range(20)]
+        sets += [frozenset(), frozenset({1}), frozenset({0, n})]
+        outcomes = set()
+        for members in sets:
+            expected = _outcome(validate_ideal_all_pairs, ring, members)
+            assert _outcome(rings.validate_ideal, ring, members) == expected, sorted(members)
+            outcomes.add(expected)
+        assert "ideal" in outcomes and "ideal is not closed under addition" in outcomes
+
+    @pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE))
+    def test_quotient_checks_cosets_on_its_own(self, name, monkeypatch):
+        """With validation switched off, the whole-row coset comparison
+        alone must refuse every one-sided ideal and accept two-sided ones."""
+        ring = NONCOMMUTATIVE[name]()
+        left, right = _one_sided(ring)
+        monkeypatch.setattr(rings, "validate_ideal", lambda ring, members: None)
+        for members in left + right:
+            with pytest.raises(NotAnIdeal, match="not well-defined on cosets"):
+                quotient_make(ring, members)
+        proper = {m for m in map(lambda g: principal_ideal_members(ring, g), range(ring.size))
+                  if len(m) < ring.size}
+        assert proper
+        for members in proper:
+            assert quotient_make(ring, members).size == ring.size // len(members)
+
+    @pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE) + ["M2(GF4)", "chain(2,3)"])
+    def test_principal_ideal_is_closure_of_agb(self, name):
+        ring = NONCOMMUTATIVE[name]() if name in NONCOMMUTATIVE else parse_ring_spec(name)
+        n = ring.size
+        for g in range(n):
+            products = set()
+            for a in range(n):
+                products.update(ring.mul_row(ring.mul_index(a, g)))   # a*g*b, every b
+            assert principal_ideal_members(ring, g) == subgroup_oracle(ring, products), g
+
+    @pytest.mark.parametrize("spec, expected", [
+        ("Z12", [1]),
+        ("GF4", [1, 2]),
+        ("M2(GF2)", [1, 2, 4, 8]),
+        ("Z2 x Z4", [1, 4]),
+        ("table x Z3", [1] + [3 * v for v in range(1, 8)]),
+        ("Z2 x table", list(range(1, 8)) + [8]),
+        ("quotient", list(range(1, 16))),
+    ])
+    def test_additive_generators(self, spec, expected):
+        """One unit vector per cyclic digit and every value of an opaque
+        digit, fastest digit first."""
+        if spec in NONCOMMUTATIVE:
+            ring = NONCOMMUTATIVE[spec]()
+        else:
+            ring = parse_ring_spec(spec.replace("table", f"table:{fixture_path()}"))
+        assert ring.additive_generators() == expected
+
+    @pytest.mark.parametrize("name, ring", default_corpus())
+    def test_generators_and_closure_span_the_ring(self, name, ring):
+        assert additive_closure(ring, ring.additive_generators()) == frozenset(range(ring.size))
+        rnd = random.Random(name)
+        for _ in range(10):
+            gens = rnd.sample(range(ring.size), min(3, ring.size))
+            assert additive_closure(ring, gens) == subgroup_oracle(ring, gens)
