@@ -11,6 +11,7 @@ corollary predicates read `structure_report` and the pair counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .errors import (
     BadDimensionOrder,
@@ -259,6 +260,14 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
         if rank == ring.k:
             return prob_unit_formula(ring)
         return prob_matrix_formula(MatrixClass(q=ring.q, dim=ring.k, rank=rank))
+    if isinstance(ring, ProductRing):
+        # each factor tests its own component for a unit, once
+        parts = [prob_formula(f, c) for f, c in zip(ring.factors, ring.decode(xi))]
+        tags = [part.formula for part in parts]
+        if all(tag == "unit" for tag in tags):
+            return prob_unit_formula(ring)
+        value = prod((part.value for part in parts), start=ProbFraction(1, 1))
+        return FormulaResult(value, "product", {"components": tags})
     inv = invariants(ring)
     if inv.is_unit(xi):
         return prob_unit_formula(ring)
@@ -266,19 +275,6 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
         return prob_chain_formula(ring, xi)
     if inv.is_local and inv.is_j2_zero:
         return prob_j2zero_formula(ring, xi)
-    if isinstance(ring, ProductRing):
-        comps = ring.decode(xi)
-        value = ProbFraction(1, 1)
-        tags = []
-        for factor, comp in zip(ring.factors, comps):
-            sub = prob_formula(factor, comp)
-            value = value * sub.value
-            tags.append(sub.formula)
-        return FormulaResult(
-            value=value,
-            formula="product",
-            applicability={"components": tags},
-        )
     raise FormulaUnavailable(f"no closed form applies to {ring.describe()}")
 
 

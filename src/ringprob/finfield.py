@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegreeOutOfRange, DivisionByZero, MixedFields, NonPrime
+from .errors import DegreeOutOfRange, DivisionByZero, MixedFields, NonPrime, ValidationError
 
 MAX_EXTENSION_DEGREE = 8
 
@@ -20,18 +20,35 @@ MAX_EXTENSION_DEGREE = 8
 FIELD_TABLE_CAP = 512
 
 
+# No composite below _MR_BOUND is a strong pseudoprime to all of these
+# bases (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin.  A number at or above
+    _MR_BOUND that passes every base raises ValidationError: it is never
+    guessed to be prime."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False        # a witnesses that n is composite
+    if n >= _MR_BOUND:
+        raise ValidationError(f"cannot decide whether a {n.bit_length()}-bit number is prime")
     return True
 
 
@@ -39,11 +56,11 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q as p^r with p prime, or raise NonPrime."""
     if q < 2:
         raise NonPrime(f"{q} is not a prime power")
+    if is_prime(q):
+        return q, 1
     p = 2
-    while p * p <= q and q % p:
+    while q % p:
         p += 1
-    if p * p > q:
-        return q, 1             # no divisor up to sqrt(q): q is prime
     r, m = 0, q                 # p is q's smallest prime factor
     while m % p == 0:
         m //= p

@@ -27,7 +27,7 @@ from math import gcd, prod
 from typing import Callable
 
 from .errors import NonPrime, ValidationError
-from .finfield import factor_prime_power, is_irreducible
+from .finfield import factor_prime_power, is_irreducible, is_prime
 from .rings import (
     FieldRing,
     MatrixRing,
@@ -46,10 +46,12 @@ _LAYER_OF_ZERO = "layer of 0 is not defined; every power contains it"
 def _factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    prime_left = is_prime(n)        # stop as soon as the cofactor is prime
+    while not prime_left and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+            prime_left = is_prime(n)
         p += 1
     if n > 1:
         out[n] = out.get(n, 0) + 1

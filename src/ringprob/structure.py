@@ -8,13 +8,18 @@ thousand elements).  `structure_report` is the enumeration oracle: the
 dispatch (`recipe.invariants`) reads it only for rings without a recipe,
 i.e. table rings, quotient rings and other polynomial quotients.
 
+The report enumerates only the units U and the radical J.  A non-unit's
+mul row repeats (injective would mean bijective, so invertible), so the
+zero-divisors are the non-units; J lies inside them, so R is local iff
+|U| + |J| = |R|, and then R/J is a finite division ring, a field by
+Wedderburn's little theorem, of order q = |R|/|J|.
+
 The work is done a whole row at a time: J is {x : xR is nil}, each
-radical power's products and the locality test read one table row per
-element, a principal ideal RgR is the union of the rows xR over the
-column Rg, and additive closures grow by doubling.  Every ideal is still
-validated (`rings.validate_ideal`), which checks products only against
-the ring's additive generators, so a radical power I costs O(|I|^2) sums
-and O(|I| * d) products for d generators.
+radical power's products read one table row per element, a principal
+ideal RgR is the union of the rows xR over the column Rg, and additive
+closures grow by doubling.  Every ideal is still validated
+(`rings.validate_ideal`): its additive closure and its products with the
+ring's d additive generators cost O(|I| * d) sums and products.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotLocal
-from .rings import Ring, RingElement, quotient_make, validate_ideal
+from .rings import Ring, RingElement, additive_closure, validate_ideal
 
 
 @dataclass(frozen=True)
@@ -53,34 +58,6 @@ class Ideal:
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
-
-
-def additive_closure(ring: Ring, generators: Iterable[int],
-                     stop_when_full: bool = False) -> frozenset[int]:
-    """Smallest additive subgroup containing the generators.
-
-    Each new generator g joins by doubling: with H the closure so far,
-    S = H + {0, g, ..., (2^j - 1) g} grows by S + 2^j g until 2^j g lies in
-    S, which happens exactly when S = H + <g>, so each generator costs
-    log2 of its order modulo H row gathers.
-
-    With stop_when_full, returns the full index set as soon as the closure
-    is forced to be the whole group (size beyond half the ring).
-    """
-    n = ring.size
-    closure: set[int] = {0}
-    todo = set(generators)
-    while True:
-        todo -= closure
-        if not todo:
-            return frozenset(closure)
-        step = min(todo)
-        while step not in closure:
-            row = ring.add_row(step)
-            closure.update([row[s] for s in closure])
-            step = row[step]
-        if stop_when_full and len(closure) > n // 2:
-            return frozenset(range(n))  # subgroup order divides n
 
 
 def units(ring: Ring) -> frozenset[int]:
@@ -130,10 +107,6 @@ def left_right_symmetry_check(ring: Ring) -> bool:
 def right_annihilator(a: RingElement) -> frozenset[int]:
     """{y : ay = 0} as an index set."""
     return frozenset(_zero_positions(a.ring.mul_row(a.index)))
-
-
-def right_annihilator_size(ring: Ring, index: int) -> int:
-    return ring.mul_row(index).count(0)
 
 
 def jacobson_radical(ring: Ring) -> Ideal:
@@ -249,37 +222,25 @@ def _radical_chain(ring: Ring, j_members: frozenset[int]) -> tuple[Ideal, ...]:
     return tuple(chain)
 
 
-def _nonunits_add_closed(ring: Ring, unit_set: frozenset[int]) -> bool:
-    nonunits = [x for x in range(ring.size) if x not in unit_set]
-    for x in nonunits:
-        row = ring.add_row(x)
-        if not unit_set.isdisjoint([row[y] for y in nonunits]):
-            return False
-    return True
-
-
 def structure_report(ring: Ring) -> StructureReport:
     """Full structural classification; memoized on the ring instance."""
     if ring._structure is not None:
         return ring._structure
+    size = ring.size
     unit_set = units(ring)
-    zd = zero_divisors(ring)
     j_members = _radical_members(ring)
+    if not unit_set.isdisjoint(j_members):
+        raise AssertionError("the radical holds a unit")
     chain = _radical_chain(ring, j_members)
     t = len(chain)
 
-    is_local = _nonunits_add_closed(ring, unit_set)
+    # J lies inside the non-units, so R is local iff J is all of them; R/J
+    # is then a finite division ring, hence a field, of order |R|/|J|
+    is_local = len(unit_set) + len(j_members) == size
     q = n = None
     if is_local:
-        nonunits = frozenset(x for x in range(ring.size) if x not in unit_set)
-        if nonunits != j_members:
-            raise AssertionError("non-units form an ideal but differ from the radical")
-        residue = quotient_make(ring, j_members)
-        residue_units = units(residue)
-        if len(residue_units) != residue.size - 1:
-            raise AssertionError("residue ring of a local ring is not a field")
-        q = residue.size
-        m, n = ring.size, 0
+        q = size // len(j_members)
+        m, n = size, 0
         while m > 1 and m % q == 0:
             m //= q
             n += 1
@@ -289,7 +250,7 @@ def structure_report(ring: Ring) -> StructureReport:
     ring._structure = StructureReport(
         ring=ring,
         units=unit_set,
-        zero_divisors=zd,
+        zero_divisors=frozenset(range(size)) - unit_set,  # a non-unit's row repeats
         radical_chain=chain,
         nilpotency_index=t,
         is_local=is_local,

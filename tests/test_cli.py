@@ -1,5 +1,6 @@
 """Command-line behaviour: output schemas, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -165,6 +166,13 @@ class TestVerify:
         assert code == 0
         assert "Z4" in out and "Z9" in out
 
+    def test_default_json_is_pinned(self, capsys):
+        """The bytes CI's installed-package step checks with sha256sum -c."""
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        pin = Path(__file__).resolve().parent / "data" / "verify_default.sha256"
+        assert hashlib.sha256(out.encode()).hexdigest() == pin.read_text().split()[0]
+
     def test_custom_corpus_size_cap(self, capsys, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(["Z5000"]))
@@ -283,6 +291,19 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err == ("error: ring has at least 2^4096 elements; specs of 2^4096 "
                        "elements or more are refused even with the size cap lifted\n")
+
+    @pytest.mark.parametrize("spec", ["GF1000000000000000003", "Z1000000000000000003"])
+    def test_large_prime_order_is_answered(self, spec):
+        """A 60-bit prime order is recognised at once, so the closed form
+        answers; each run has its own process and a timeout, since trial
+        division would run for minutes."""
+        q = 1000000000000000003
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringprob.cli", "prob", "--ring", spec, "--x", "0", "--force"],
+            capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert (payload["hits"], payload["total"]) == (2 * q - 1, q * q)
 
     def test_overlong_integer_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "structure", "--ring", "Z" + "7" * 5000)

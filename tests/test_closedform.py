@@ -40,7 +40,10 @@ from ringprob.rings import (
     trivial_extension,
     zmod,
 )
-from ringprob.corpus import default_corpus
+from ringprob import closedform, recipe
+from ringprob.corpus import default_corpus, fixture_path
+from ringprob.recipe import invariants
+from ringprob.specparse import parse_ring_spec
 
 
 def brute_span_lines_f2_2():
@@ -335,6 +338,40 @@ class TestDispatch:
         result = prob_auto(pr, x)
         assert result.formula == "product"
         assert result.value == prob_brute(pr, x)
+
+    def test_product_tests_each_factor_for_a_unit_once(self, monkeypatch):
+        calls = []
+
+        def counting_rank(x):
+            calls.append(x.index)
+            return matrix_rank(x)
+
+        monkeypatch.setattr(recipe, "matrix_rank", counting_rank)
+        monkeypatch.setattr(closedform, "matrix_rank", counting_rank)
+        ring = parse_ring_spec("M2(GF2) x Z4")
+        result = prob_formula(ring, ring.encode((0, 1)))
+        assert result.formula == "product"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", ["M2(GF2) x Z4", "table x Z3", "Z2 x M2(GF2)",
+                                      "GF4 x chain(2,2) x Z6", "M2(GF2) x GF3"])
+    def test_product_unit_iff_every_factor_unit(self, spec):
+        """A unit target gets the whole ring's unit formula, a non-unit the
+        product of its factors' closed forms, and a non-unit with a factor
+        that has none gets none."""
+        ring = parse_ring_spec(spec.replace("table", f"table:{fixture_path()}"))
+        inv = invariants(ring)
+        for x in range(ring.size):
+            try:
+                got = prob_formula(ring, x)
+            except FormulaUnavailable:
+                assert not inv.is_unit(x)
+                continue
+            if inv.is_unit(x):
+                assert (got.formula, got.applicability) == ("unit", {"units": inv.unit_count})
+            else:
+                assert got.formula == "product"
+            assert got.value == prob_brute(ring, x)
 
     def test_annsum_fallback(self):
         result = prob_auto(zmod(6), 2)

@@ -2,11 +2,18 @@
 
 import pytest
 
-from ringprob.errors import DegreeOutOfRange, DivisionByZero, MixedFields, NonPrime
+from ringprob.errors import (
+    DegreeOutOfRange,
+    DivisionByZero,
+    MixedFields,
+    NonPrime,
+    ValidationError,
+)
 from ringprob.finfield import (
     FIELD_TABLE_CAP,
     FieldElement,
     GaloisField,
+    factor_prime_power,
     field_add,
     field_enumerate,
     field_inv,
@@ -15,6 +22,7 @@ from ringprob.finfield import (
     field_neg,
     galois_field,
     is_irreducible,
+    is_prime,
     smallest_irreducible,
 )
 
@@ -24,6 +32,54 @@ def poly_eval(coeffs, x, p):
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
+
+
+def prime_flags(limit):
+    """Oracle: sieve of Eratosthenes, i.e. trial division by every prime."""
+    flags = [False, False] + [True] * (limit - 2)
+    for p in range(2, int(limit ** 0.5) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(range(p * p, limit, p))
+    return flags
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        flags = prime_flags(200000)
+        assert [n for n in range(200000) if is_prime(n)] == [
+            n for n, flag in enumerate(flags) if flag]
+
+    @pytest.mark.parametrize("n", [
+        3825123056546413051,            # strong pseudoprime to every base up to 31
+        318665857834031151167461,       # ... up to 37, caught by 41
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert is_prime(n) is False
+
+    def test_large_primes(self):
+        assert is_prime(1000000000000000003)
+        assert is_prime(2 ** 61 - 1)
+        assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+        assert factor_prime_power(1000000000000000003) == (1000000000000000003, 1)
+        assert factor_prime_power(2 ** 4000) == (2, 4000)
+
+    def test_undecided_above_the_bound_raises(self):
+        # passes all 13 bases, and the test is only exact below this number
+        with pytest.raises(ValidationError, match="cannot decide"):
+            is_prime(3317044064679887385961981)
+
+    def test_factor_prime_power_agrees_with_trial_division(self):
+        flags = prime_flags(5000)
+        for q in range(2, 5000):
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            r, m = 0, q
+            while m % p == 0:
+                m, r = m // p, r + 1
+            if m == 1:
+                assert factor_prime_power(q) == (p, r) and flags[p]
+            else:
+                with pytest.raises(NonPrime):
+                    factor_prime_power(q)
 
 
 class TestFieldMake:

@@ -1,11 +1,14 @@
 """Units, zero-divisors, radical chain, locality, and their invariants."""
 
+import hashlib
+import random
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
-import random
-
-from ringprob import rings
-from ringprob.corpus import default_corpus, fixture_path
+from ringprob import cli, rings
+from ringprob.corpus import TABLE_LABEL, default_corpus, fixture_path
 from ringprob.errors import NotAnIdeal, NotLocal
 from ringprob.rings import (
     chain_ring,
@@ -62,6 +65,45 @@ def radical_by_unit_shifts(ring):
 
 RADICAL_EXTRA_SPECS = ["GR(3,2,2)", "chain(4,3)", "M2(GF5)", "triv(4,2)", "Z360",
                        "Z8 x GF8", "table:<fixture> x Z3", "Z4 x Z4 x Z2"]
+
+# Rings the report is compared with its definitions on, and whose
+# `structure` output is pinned.
+ORACLE_SPECS = ([name for name, _ in default_corpus()] + RADICAL_EXTRA_SPECS
+                + ["Z1024", "chain(2,9)", "triv(2,9)", "GR(2,3,3)"])
+
+PINS = Path(__file__).resolve().parent / "data"
+
+
+def _spec_text(spec):
+    if spec == TABLE_LABEL:
+        return f"table:{fixture_path()}"
+    return spec.replace("<fixture>", fixture_path())
+
+
+@lru_cache(maxsize=None)
+def _oracle_ring(spec):
+    return dict(default_corpus()).get(spec) or parse_ring_spec(_spec_text(spec))
+
+
+def locality_by_definition(ring):
+    """Oracle: (is_local, q, n) from the definitions.  R is local iff its
+    non-units are closed under addition (then they form the one maximal
+    ideal M); q is the order of R/M, which must be a field, and
+    |R| = q^n."""
+    unit_set = units(ring)
+    nonunits = [x for x in range(ring.size) if x not in unit_set]
+    for x in nonunits:
+        row = ring.add_row(x)
+        if not unit_set.isdisjoint([row[y] for y in nonunits]):
+            return False, None, None
+    residue = quotient_make(ring, nonunits)
+    assert len(units(residue)) == residue.size - 1, "residue ring is not a field"
+    q, n, m = residue.size, 0, ring.size
+    while m > 1:
+        m, rem = divmod(m, q)
+        assert rem == 0
+        n += 1
+    return True, q, n
 
 
 class TestUnits:
@@ -223,6 +265,26 @@ class TestClassification:
         rep = structure_report(zmod(6))
         assert not rep.is_local
         assert rep.q is None and rep.n is None
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_report_matches_definitions(self, spec):
+        """The report reads locality, q and n off |U| + |J| = |R| and takes
+        the zero-divisors to be the non-units; both must agree with the
+        definitions they replace."""
+        ring = _oracle_ring(spec)
+        rep = structure_report(ring)
+        assert (rep.is_local, rep.q, rep.n) == locality_by_definition(ring)
+        assert rep.zero_divisors == zero_divisors(ring)
+
+    def test_structure_output_is_pinned(self, capsys):
+        """`structure` prints the same bytes as before the report derived
+        Z, locality and q from U and J."""
+        for spec in ORACLE_SPECS:
+            assert cli.main(["structure", "--ring", _spec_text(spec)]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(ORACLE_SPECS)
+        pinned = (PINS / "structure_oracle.sha256").read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
     def test_local_zero_divisors_equal_radical(self):
         for _, ring in default_corpus():
