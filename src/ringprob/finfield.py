@@ -52,22 +52,40 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _integer_root(n: int, d: int) -> int:
+    """Largest x with x**d <= n, set one bit at a time from the top."""
+    x = 0
+    for bit in range(n.bit_length() // d, -1, -1):
+        if (x | 1 << bit) ** d <= n:
+            x |= 1 << bit
+    return x
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Split q as p^r with p prime, or raise NonPrime."""
+    """Split q as p^r with p prime, or raise NonPrime.  A prime factor up
+    to 41 is divided out.  Otherwise p^r is a perfect d-th power for each
+    prime d dividing r, with root p^(r/d), so the smallest such d is found
+    by integer roots and the root split in turn."""
     if q < 2:
         raise NonPrime(f"{q} is not a prime power")
     if is_prime(q):
         return q, 1
-    p = 2
-    while q % p:
-        p += 1
-    r, m = 0, q                 # p is q's smallest prime factor
-    while m % p == 0:
-        m //= p
-        r += 1
-    if m != 1:
-        raise NonPrime(f"{q} is not a prime power")
-    return p, r
+    for p in _MR_BASES:
+        if q % p == 0:
+            r, m = 0, q
+            while m % p == 0:
+                m //= p
+                r += 1
+            if m != 1:
+                raise NonPrime(f"{q} is not a prime power")
+            return p, r
+    for d in range(2, q.bit_length() + 1):
+        if is_prime(d):
+            root = _integer_root(q, d)
+            if root ** d == q:
+                p, r = factor_prime_power(root)
+                return p, r * d
+    raise NonPrime(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +130,34 @@ def _poly_divmod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[tuple[
     return _poly_trim(quot), _poly_trim(rem)
 
 
+def _poly_powmod(base: tuple[int, ...], e: int, f: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """base^e mod f over Z_p, by square-and-multiply."""
+    out = (1,)
+    base = _poly_divmod(base, f, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, base, p), f, p)[1]
+        base = _poly_divmod(_poly_mul(base, base, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _poly_gcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
+
+
+def _frobenius_gap(f: tuple[int, ...], m: int, p: int) -> tuple[int, ...]:
+    """x^(p^m) - x mod f over Z_p, for f of degree at least 2."""
+    h = (0, 1)
+    for _ in range(m):
+        h = _poly_powmod(h, p, f, p)
+    c = list(h) + [0] * (2 - len(h))
+    c[1] = (c[1] - 1) % p
+    return _poly_trim(c)
+
+
 def _monic_polys(degree: int, p: int):
     """Yield all monic polynomials of the given degree over Z_p."""
     for v in range(p ** degree):
@@ -124,18 +170,19 @@ def _monic_polys(degree: int, p: int):
 
 
 def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Exhaustive divisor scan; adequate for the degrees in scope."""
+    """Rabin's test: f of degree n over Z_p is irreducible iff f divides
+    x^(p^n) - x and, for every prime d dividing n, x^(p^(n/d)) - x is
+    coprime to f.  Its cost grows with n and log p only, so a large
+    characteristic is as cheap as a small one."""
     degree = len(poly) - 1
     if degree < 1:
         return False
     if degree == 1:
         return True
-    for d in range(1, degree // 2 + 1):
-        for divisor in _monic_polys(d, p):
-            _, rem = _poly_divmod(poly, divisor, p)
-            if not rem:
-                return False
-    return True
+    if _frobenius_gap(poly, degree, p):
+        return False
+    return all(len(_poly_gcd(poly, _frobenius_gap(poly, degree // d, p), p)) == 1
+               for d in range(2, degree + 1) if degree % d == 0 and is_prime(d))
 
 
 @lru_cache(maxsize=None)

@@ -433,23 +433,16 @@ class MatrixRing(Ring):
         self._init_tables()
         self._commutative = (k == 1)
 
-    # -- column packing helpers ----------------------------------------------
+    # -- digit packing -------------------------------------------------------
 
-    def _colcodes(self, i: int) -> list[int]:
-        k, Q = self.k, self.Q
-        out = [0] * k
-        for j in range(k - 1, -1, -1):
-            out[j] = i % Q
-            i //= Q
+    def _entries(self, i: int) -> list[int]:
+        """The k*k base-q digits of index i, most significant first; entry
+        (r, c) is digit c*k + r."""
+        q = self.q
+        out = [0] * (self.k * self.k)
+        for d in range(len(out) - 1, -1, -1):
+            i, out[d] = divmod(i, q)
         return out
-
-    def _colvec(self, code: int) -> list[int]:
-        k, q = self.k, self.q
-        v = [0] * k
-        for i in range(k - 1, -1, -1):
-            v[i] = code % q
-            code //= q
-        return v
 
     def _encode_identity(self) -> int:
         k = self.k
@@ -458,35 +451,47 @@ class MatrixRing(Ring):
 
     def decode(self, i):
         k = self.k
-        cols = [self._colvec(c) for c in self._colcodes(i)]
-        return tuple(tuple(cols[j][r] for j in range(k)) for r in range(k))
+        digits = self._entries(i)
+        return tuple(tuple(digits[r::k]) for r in range(k))
 
     def encode(self, form) -> int:
-        k, q, Q = self.k, self.q, self.Q
+        k, q = self.k, self.q
         idx = 0
-        for j in range(k):
-            code = 0
-            for i in range(k):
-                code = code * q + form[i][j]
-            idx = idx * Q + code
+        for c in range(k):
+            for r in range(k):
+                idx = idx * q + form[r][c]
         return idx
 
     # -- arithmetic ------------------------------------------------------------
 
     def _mul(self, i, j):
-        gf = self.field
-        k = self.k
-        a, b = self.decode(i), self.decode(j)
-        out = []
-        for r in range(k):
-            row = []
-            for c in range(k):
-                s = 0
-                for t in range(k):
-                    s = gf.add(s, gf.mul(a[r][t], b[t][c]))
-                row.append(s)
-            out.append(tuple(row))
-        return self.encode(tuple(out))
+        """Entry (r, c) of the product is row r of i dotted with column c of
+        j: integers mod q over a prime field, else field indices combined
+        through the field's tables (or its per-call arithmetic above
+        FIELD_TABLE_CAP), as in recipe.matrix_rank."""
+        k, q, gf = self.k, self.q, self.field
+        a, b = self._entries(i), self._entries(j)
+        rows = [a[r::k] for r in range(k)]
+        prime = gf.r == 1
+        tables = None if prime else gf.tables()
+        if tables is not None:
+            add, mul, _ = tables
+        out = 0
+        for c in range(0, k * k, k):
+            col = b[c:c + k]
+            for row in rows:
+                if prime:
+                    s = sum(x * y for x, y in zip(row, col)) % q
+                elif tables is not None:
+                    s = 0
+                    for x, y in zip(row, col):
+                        s = add[s][mul[x][y]]
+                else:
+                    s = 0
+                    for x, y in zip(row, col):
+                        s = gf.add(s, gf.mul(x, y))
+                out = out * q + s
+        return out
 
     def describe(self):
         return f"M{self.k}(GF{self.q})"

@@ -279,16 +279,13 @@ def ideal_size_power_check(ring: Ring) -> bool:
     for ideal in report.radical_chain:
         if not _is_power_of(ideal.size, q):
             return False
-    columns: list[set[int]] = [set() for _ in range(n)]
     for a in range(n):
         row = ring.mul_row(a)
         if not _is_power_of(len(set(row)), q):          # aR
             return False
         if not _is_power_of(row.count(0), q):           # ann_r(a)
             return False
-        for x in range(n):
-            columns[x].add(row[x])
-    return all(_is_power_of(len(col), q) for col in columns)  # Ra
+    return all(_is_power_of(len(set(ring.mul_column(x))), q) for x in range(n))  # Ra
 
 
 def unit_plus_radical_check(ring: Ring) -> bool:

@@ -11,6 +11,11 @@ PASS detail (a str) or the FAIL's (detail, expected, actual) tuple; one
 runner walks the cases and turns gates and verdicts into CaseResults.
 The checks look up the engines and closed forms in this module's
 namespace at call time, so a test can swap any of them out.
+
+A run builds each ring once: the suites with their own targets (thm32,
+remark_zn) check the corpus's instance of any equal ring.  lemma26 closes
+one principal ideal per distinct gR and still checks the quotient by
+every proper one.
 """
 
 from __future__ import annotations
@@ -82,11 +87,12 @@ class SuiteResult:
 
 
 def _runner(suite_id: str, check, gates=(), targets=None):
-    """runner(corpus): check every case, over the corpus or over targets()
-    when the suite brings its own; a case failing a gate is a SKIP."""
+    """runner(corpus): check every case, over the corpus or over
+    targets(corpus) when the suite brings its own; a case failing a gate
+    is a SKIP."""
     def run(corpus: Corpus) -> list[CaseResult]:
         out = []
-        for case, ring in corpus if targets is None else targets():
+        for case, ring in corpus if targets is None else targets(corpus):
             reason = next((why for holds, why in gates if not holds(ring)), None)
             if reason is not None:
                 out.append(CaseResult(suite_id, case, "SKIP", reason))
@@ -194,9 +200,21 @@ def _lemma25(ring: Ring):
     return miss or passed
 
 
+def _proper_principal_ideals(ring: Ring) -> list[frozenset[int]]:
+    """Every proper ideal RgR, in order of its first generator g.
+
+    RgR = R(gR) depends on g only through the set gR, so only the first g
+    with each gR is closed; that g is also the first to give its ideal,
+    so the order is the one a closure of every g would give."""
+    first_g = {}
+    for g in range(ring.size):
+        first_g.setdefault(frozenset(ring.mul_row(g)), g)
+    ideals = (principal_ideal_members(ring, g) for g in first_g.values())
+    return list(dict.fromkeys(m for m in ideals if len(m) < ring.size))
+
+
 def _lemma26(ring: Ring):
-    proper = (principal_ideal_members(ring, g) for g in range(ring.size))
-    ideals = list(dict.fromkeys(m for m in proper if len(m) < ring.size))
+    ideals = _proper_principal_ideals(ring)
     counts = pair_counts(ring, cap=None)
     sq_r = ring.size ** 2
     checks = 0
@@ -252,7 +270,7 @@ def enumerate_subspaces(p: int, n: int, k: int) -> list[tuple[tuple, frozenset]]
     return subs
 
 
-def _subspace_params() -> list[tuple[str, tuple[int, int]]]:
+def _subspace_params(corpus: Corpus) -> list[tuple[str, tuple[int, int]]]:
     return [(f"q={q},n={n}", (q, n)) for q in (2, 3) for n in range(1, 5)]
 
 
@@ -279,8 +297,17 @@ def _lemma31(params: tuple[int, int]):
 _MATRIX_TARGETS = ["M1(GF2)", "M1(GF3)", "M2(GF2)", "M2(GF3)", "M3(GF2)", "M2(GF4)"]
 
 
-def _matrix_targets() -> list[tuple[str, Ring]]:
-    return [(spec, ring_from_spec(spec)) for spec in _MATRIX_TARGETS]
+def _reuse_corpus_rings(corpus: Corpus, specs) -> list[tuple[str, Ring]]:
+    """(spec, ring) per spec, taking the corpus's own instance of an equal
+    ring (same key()), so its tables and memos are built once per run.
+    Constructing a target just to compare keys builds no tables."""
+    own = {ring: ring for _, ring in corpus}
+    targets = [(spec, ring_from_spec(spec)) for spec in specs]
+    return [(spec, own.get(ring, ring)) for spec, ring in targets]
+
+
+def _matrix_targets(corpus: Corpus) -> list[tuple[str, Ring]]:
+    return _reuse_corpus_rings(corpus, _MATRIX_TARGETS)
 
 
 def _thm32(ring: Ring):
@@ -352,8 +379,8 @@ def _thm46(ring: Ring):
     return _local_closed_form(ring, prob_chain_formula, "chain")
 
 
-def _zn_targets() -> list[tuple[str, Ring]]:
-    return [(f"Z{n}", ring_from_spec(f"Z{n}")) for n in range(2, 31)]
+def _zn_targets(corpus: Corpus) -> list[tuple[str, Ring]]:
+    return _reuse_corpus_rings(corpus, [f"Z{n}" for n in range(2, 31)])
 
 
 def _remark_zn(ring: Ring):

@@ -173,6 +173,18 @@ class TestVerify:
         pin = Path(__file__).resolve().parent / "data" / "verify_default.sha256"
         assert hashlib.sha256(out.encode()).hexdigest() == pin.read_text().split()[0]
 
+    def test_pool_json_is_pinned(self, capsys, monkeypatch):
+        """The default corpus plus every alternative of the benchmark's
+        verify-corpus pool; its table fixture is named from the repository
+        root, which is the working directory here."""
+        data = Path(__file__).resolve().parent / "data"
+        monkeypatch.chdir(data.parent.parent)
+        code, out, _ = run_cli(capsys, "verify", "--format", "json",
+                               "--corpus", "tests/data/verify_pool.json")
+        assert code == 0
+        pin = data / "verify_pool.sha256"
+        assert hashlib.sha256(out.encode()).hexdigest() == pin.read_text().split()[0]
+
     def test_custom_corpus_size_cap(self, capsys, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(["Z5000"]))
@@ -300,6 +312,19 @@ class TestMalformedInput:
         q = 1000000000000000003
         proc = subprocess.run(
             [sys.executable, "-m", "ringprob.cli", "prob", "--ring", spec, "--x", "0", "--force"],
+            capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert (payload["hits"], payload["total"]) == (2 * q - 1, q * q)
+
+    def test_large_prime_square_field_is_answered(self):
+        """GF(p^2) with p = 10^9+7: the order splits by an integer square
+        root and the modulus is found by Rabin's test, so the closed form
+        answers; trial division and a divisor scan would each run to p."""
+        q = (10 ** 9 + 7) ** 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringprob.cli", "prob", "--ring", f"GF{q}", "--x", "0",
+             "--method", "formula", "--force"],
             capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=SRC))
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)

@@ -11,6 +11,7 @@ from ringprob.errors import (
 )
 from ringprob.finfield import (
     FIELD_TABLE_CAP,
+    _poly_divmod,
     FieldElement,
     GaloisField,
     factor_prime_power,
@@ -32,6 +33,22 @@ def poly_eval(coeffs, x, p):
     for c in reversed(coeffs):
         acc = (acc * x + c) % p
     return acc
+
+
+def monic_polys(degree, p):
+    """Monic polynomials of a degree over Z_p, constant term first, in the
+    order smallest_irreducible tries them (constant term fastest)."""
+    for v in range(p ** degree):
+        yield tuple(v // p ** i % p for i in range(degree)) + (1,)
+
+
+def irreducible_by_scan(poly, p):
+    """Oracle: no monic divisor of degree 1 to deg/2 leaves remainder 0."""
+    degree = len(poly) - 1
+    if degree < 1:
+        return False
+    return not any(not _poly_divmod(poly, d, p)[1]
+                   for k in range(1, degree // 2 + 1) for d in monic_polys(k, p))
 
 
 def prime_flags(limit):
@@ -62,6 +79,11 @@ class TestPrimality:
         assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
         assert factor_prime_power(1000000000000000003) == (1000000000000000003, 1)
         assert factor_prime_power(2 ** 4000) == (2, 4000)
+        assert factor_prime_power((10 ** 9 + 7) ** 2) == (10 ** 9 + 7, 2)
+        assert factor_prime_power((2 ** 61 - 1) ** 6) == (2 ** 61 - 1, 6)
+        for composite in ((10 ** 9 + 7) * (10 ** 9 + 9), (6 * 10 ** 9 + 42) ** 2):
+            with pytest.raises(NonPrime):
+                factor_prime_power(composite)
 
     def test_undecided_above_the_bound_raises(self):
         # passes all 13 bases, and the test is only exact below this number
@@ -121,6 +143,29 @@ class TestFieldMake:
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 3), (5, 2), (7, 2), (2, 8)])
     def test_modulus_is_irreducible(self, p, r):
         assert is_irreducible(smallest_irreducible(p, r), p)
+
+    def test_rabin_test_matches_divisor_scan(self):
+        n = 0
+        for p in (2, 3, 5, 7):
+            for r in range(1, 5):
+                for poly in monic_polys(r, p):
+                    assert is_irreducible(poly, p) == irreducible_by_scan(poly, p), (poly, p)
+                    n += 1
+        assert n == 3730
+
+    def test_moduli_unchanged(self):
+        """The first candidate the scan calls irreducible, so every field's
+        modulus, and hence its element indexing, stays the same."""
+        for p in range(2, 50):
+            if is_prime(p):
+                for r in range(1, 5):
+                    first = next(f for f in monic_polys(r, p) if irreducible_by_scan(f, p))
+                    assert smallest_irreducible(p, r) == first, (p, r)
+
+    def test_large_characteristic(self):
+        p = 10 ** 9 + 7                 # p = 3 mod 4, so -1 is not a square
+        assert field_make(p, 2).modulus == (1, 0, 1)
+        assert is_irreducible((1, 0, 1), p) and not is_irreducible((p - 1, 0, 1), p)
 
 
 class TestArithmetic:

@@ -84,6 +84,53 @@ class TestArithmetic:
         assert (z5.element(1) - z5.element(3)).index == 3
 
 
+def matrix_product_oracle(ring, i, j):
+    """Oracle: decode both operands into row tuples, multiply entry by entry
+    with the field's add and mul, and encode the result."""
+    gf, k = ring.field, ring.k
+    a, b = ring.decode(i), ring.decode(j)
+    out = []
+    for r in range(k):
+        row = []
+        for c in range(k):
+            s = 0
+            for t in range(k):
+                s = gf.add(s, gf.mul(a[r][t], b[t][c]))
+            row.append(s)
+        out.append(tuple(row))
+    return ring.encode(tuple(out))
+
+
+class TestMatrixProduct:
+    """_mul against the textbook product.  Ring axioms and probability pins
+    cannot see a transposed product, since M_k(F)^op is isomorphic to
+    M_k(F) and gives the same counts."""
+
+    @pytest.mark.parametrize("spec", ["M1(GF2)", "M2(GF2)", "M2(GF3)", "M2(GF4)"])
+    def test_every_pair(self, spec):
+        ring = parse_ring_spec(spec)
+        for i in range(ring.size):
+            assert [ring._mul(i, j) for j in range(ring.size)] == [
+                matrix_product_oracle(ring, i, j) for j in range(ring.size)]
+
+    # GF(729) lies above FIELD_TABLE_CAP, so its products use the per-call
+    # field operations; GF(8) uses the field tables; GF(2), GF(5) integers
+    @pytest.mark.parametrize("spec", ["M3(GF2)", "M2(GF5)", "M2(GF8)", "M2(GF729)"])
+    def test_seeded_pairs(self, spec):
+        ring = parse_ring_spec(spec, None)
+        rng = random.Random(spec)
+        for _ in range(1000):
+            i, j = rng.randrange(ring.size), rng.randrange(ring.size)
+            assert ring._mul(i, j) == matrix_product_oracle(ring, i, j)
+
+    def test_not_transposed(self):
+        # E_01 * E_10 = E_00 while E_10 * E_01 = E_11
+        m2 = matrix_ring(2, 3)
+        e01, e10 = m2.encode(((0, 1), (0, 0))), m2.encode(((0, 0), (1, 0)))
+        assert m2.decode(m2._mul(e01, e10)) == ((1, 0), (0, 0))
+        assert m2.decode(m2._mul(e10, e01)) == ((0, 0), (0, 1))
+
+
 class TestEnumerationOrder:
     def test_zmod_order(self):
         assert [e.index for e in ring_enumerate(zmod(3))] == [0, 1, 2]

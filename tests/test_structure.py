@@ -326,6 +326,13 @@ class TestIdealSizePowers:
         with pytest.raises(NotLocal):
             ideal_size_power_check(zmod(6))
 
+    def test_left_ideals_are_read_off_columns(self, monkeypatch):
+        # Ra is the column of a; a column of 3 distinct values must fail
+        ring = zmod(8)
+        column = ring.mul_column
+        monkeypatch.setattr(ring, "mul_column", lambda j: [0, 1, 2] if j == 5 else column(j))
+        assert not ideal_size_power_check(ring)
+
 
 class TestUnitPlusRadical:
     def test_zmod4_exhaustive(self):

@@ -1,6 +1,11 @@
 """Harness behaviour: clean corpus passes, skips carry reasons, failures
 are reported with both fractions."""
 
+import json
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from ringprob import verify
@@ -10,10 +15,18 @@ from ringprob.closedform import (
     ZERO_CLASS,
     FormulaResult,
 )
+from ringprob.corpus import corpus_from_file, ring_from_spec
 from ringprob.errors import ValidationError
 from ringprob.probability import ProbFraction
-from ringprob.rings import ProductRing, QuotientRing, ZModRing
+from ringprob.rings import MatrixRing, ProductRing, QuotientRing, Ring, ZModRing
+from ringprob.specparse import parse_ring_spec
+from ringprob.structure import principal_ideal_members
 from ringprob.verify import SUITES, run_suites
+
+ROOT = Path(__file__).resolve().parent.parent
+# The default corpus plus every seeded alternative of the benchmark's
+# verify-corpus pool; the table fixture is named from the repository root.
+POOL_SPECS = json.loads((ROOT / "tests" / "data" / "verify_pool.json").read_text())
 
 
 class TestRunSuites:
@@ -202,3 +215,65 @@ class TestSubspaceOracle:
     def test_spans_have_field_power_size(self):
         for _, span in verify.enumerate_subspaces(3, 3, 2):
             assert len(span) == 9
+
+
+def every_g_ideals(ring):
+    """Oracle: the proper ideals RgR over every g, in order of first g."""
+    proper = (principal_ideal_members(ring, g) for g in range(ring.size))
+    return list(dict.fromkeys(m for m in proper if len(m) < ring.size))
+
+
+def pool_ring(spec):
+    if spec.startswith("table:"):
+        return parse_ring_spec(f"table:{ROOT / spec[len('table:'):]}")
+    return ring_from_spec(spec)
+
+
+class TestSharedWork:
+    """verify's shortcuts keep the results of the work they skip."""
+
+    @pytest.mark.parametrize("spec", POOL_SPECS)
+    def test_lemma26_ideals_match_every_g(self, spec, monkeypatch):
+        ring = pool_ring(spec)
+        closures = []
+        monkeypatch.setattr(verify, "principal_ideal_members",
+                            lambda r, g: closures.append(g) or principal_ideal_members(r, g))
+        assert verify._proper_principal_ideals(ring) == every_g_ideals(ring)
+        # one closure per distinct right ideal gR, each at its first g
+        first = {}
+        for g in range(ring.size):
+            first.setdefault(frozenset(ring.mul_row(g)), g)
+        assert closures == list(first.values())
+
+    def test_targets_are_the_corpus_instances(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(["M2(GF2)", "Z6", "M1(GF2)", "Z4", "GF4"]))
+        corpus = corpus_from_file(str(path))
+        checked = []
+        first_miss = verify._first_miss
+        monkeypatch.setattr(verify, "_first_miss",
+                            lambda ring, *a, **kw: checked.append(ring) or first_miss(ring, *a, **kw))
+        results = run_suites(["thm32", "remark_zn"], corpus)
+        assert all(r.passed for r in results)
+        assert len(checked) == 6 + 29
+        for _, ring in corpus[:4]:
+            assert sum(r is ring for r in checked) == 1
+        # GF4 equals no target: M1(GF4) is not among them
+        assert not any(r is corpus[4][1] for r in checked)
+
+    def test_matrix_tables_built_once_per_run(self, tmp_path, monkeypatch):
+        # a fresh spec cache, so instances built by earlier tests hide nothing
+        monkeypatch.setattr(verify, "ring_from_spec", lru_cache(maxsize=None)(parse_ring_spec))
+        builds = Counter()
+        build = Ring._build_tables
+
+        def counting(ring):
+            builds[ring.describe()] += 1
+            return build(ring)
+
+        monkeypatch.setattr(MatrixRing, "_build_tables", counting)
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(["M3(GF2)", "M2(GF3)"]))
+        results = run_suites(None, corpus_from_file(str(path)))
+        assert all(r.passed for r in results)
+        assert builds["M3(GF2)"] == 1 and builds["M2(GF3)"] == 1
