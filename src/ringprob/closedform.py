@@ -216,19 +216,16 @@ def corollary_43_predicates(ring: Ring) -> tuple[bool, bool, bool, bool]:
     """The four extremal statements for a local ring of order q^n, n >= 2:
     lower-bound equality on every nonzero radical member, upper-bound
     equality likewise, zero-target lower-bound equality, and |R| = q^2.
-    Their pairwise equivalence is asserted by the test suite, not here."""
+    Their pairwise equivalence is asserted by the test suite, not here.
+    The three bounds and the NotLocal and NTooSmall refusals come from
+    local_bounds."""
+    lower, upper = local_bounds(ring, NONZERO_RADICAL)
+    zero_lower, _ = local_bounds(ring, ZERO_CLASS)
     report = structure_report(ring)
-    if not report.is_local:
-        raise NotLocal(f"{ring.describe()} is not local")
-    q, n = report.q, report.n
-    if n < 2:
-        raise NTooSmall(f"equivalence predicates need n >= 2, got n={n}")
+    q = report.q
     counts = pair_counts(ring, cap=None)
     total = ring.size ** 2
     nonzero_j = [x for x in report.radical.members if x != 0]
-    lower = ProbFraction((q - 1) * (q ** (n - 2) + 1), q ** (2 * n - 1))
-    upper = ProbFraction(q ** (n - 1) + q - 2, q ** (n + 1))
-    zero_lower = ProbFraction(3 * q ** (n - 1) - q ** (n - 2) - 1, q ** (2 * n - 1))
     p1 = all(ProbFraction(counts[x], total) == lower for x in nonzero_j)
     p2 = all(ProbFraction(counts[x], total) == upper for x in nonzero_j)
     p3 = ProbFraction(counts[0], total) == zero_lower

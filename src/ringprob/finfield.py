@@ -304,9 +304,10 @@ class GaloisField:
     """Index-level arithmetic engine for one FieldDescriptor.
 
     Indices are base-p encodings of coefficient vectors (constant term
-    least significant).  For orders up to FIELD_TABLE_CAP full add/mul
-    tables are built on the first add, mul or neg; larger fields compute
-    per call.
+    least significant).  add, mul and neg are the only code that chooses
+    how to compute: for orders up to FIELD_TABLE_CAP full add/mul tables
+    are built on the first of them, larger fields compute per call.
+    Callers such as matrix products and ranks go through these three.
     """
 
     def __init__(self, descriptor: FieldDescriptor):
@@ -409,32 +410,13 @@ class GaloisField:
         return table[i][j]
 
     def inv(self, i: int) -> int:
-        """Multiplicative inverse by extended Euclid on polynomials."""
+        """Multiplicative inverse i^(q-2), raised modulo the field's modulus
+        by _poly_powmod, so no table is built."""
         if i == 0:
             raise DivisionByZero("inverse of zero")
-        p = self.p
-        if self.r == 1:
-            return pow(i, p - 2, p)
-        a = _poly_trim(list(self.coeffs_of(i)))
-        # invariants: old_s*a + (..)*modulus = old_r
-        old_r, r = a, self.descriptor.modulus
-        old_s, s = (1,), ()
-        while r:
-            q, rem = _poly_divmod(old_r, r, p)
-            old_r, r = r, rem
-            qs = _poly_mul(q, s, p)
-            new_s = [0] * max(len(old_s), len(qs))
-            for t, c in enumerate(old_s):
-                new_s[t] = c
-            for t, c in enumerate(qs):
-                new_s[t] = (new_s[t] - c) % p
-            old_s, s = s, _poly_trim(new_s)
-        # old_r is a nonzero constant gcd: scale old_s by its inverse
-        scale = pow(old_r[0], p - 2, p)
-        inv_coeffs = [0] * self.r
-        for t, c in enumerate(old_s):
-            inv_coeffs[t] = (c * scale) % p
-        return self.index_of(inv_coeffs)
+        coeffs = _poly_trim(list(self.coeffs_of(i)))
+        power = _poly_powmod(coeffs, self.order - 2, self.descriptor.modulus, self.p)
+        return self.index_of(power)
 
     def pow(self, i: int, e: int) -> int:
         result = 1

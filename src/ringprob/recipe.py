@@ -80,45 +80,31 @@ def _semisimple_layer(x: int) -> int:
 def matrix_rank(x: RingElement) -> int:
     """Rank of a matrix-ring element: the dimension of its column space.
 
-    Each column is one base-q^k digit of the index, its entries base-q
-    digits (field indices), top entry most significant.  Each column is
-    reduced against the echelon basis found so far by fraction-free steps
-    v <- a*v - f*b (a the basis vector's pivot, f the entry of v there),
-    which keep v in the span iff it was and need no inverse; a column left
-    nonzero joins the basis at its first nonzero entry."""
+    The columns are read off MatrixRing._entries; the rank does not depend
+    on their order.  Each column is reduced against the echelon basis found
+    so far by fraction-free steps v <- a*v - f*b (a the basis vector's
+    pivot, f the entry of v there), which keep v in the span iff it was
+    and need no inverse; a column left nonzero joins the basis at its
+    first nonzero entry.  Entries are integers mod q over a prime field,
+    else field indices combined by the field's own add, mul and neg."""
     ring = x.ring
     if not isinstance(ring, MatrixRing):
         raise ValidationError("matrix_rank needs an element of a matrix ring")
-    k, q, Q = ring.k, ring.q, ring.Q
-    gf = ring.field
-    # entries are integers mod q over a prime field, else field indices
-    # combined through the field's tables (or its per-call arithmetic
-    # above FIELD_TABLE_CAP)
-    prime = gf.r == 1
-    tables = None if prime else gf.tables()
-    if tables is not None:
-        add, mul, neg = tables
+    k, q, gf = ring.k, ring.q, ring.field
+    add, mul, neg = gf.add, gf.mul, gf.neg
+    entries = ring._entries(x.index)
     basis = []              # (pivot position, pivot value, vector)
-    idx = x.index
-    for _ in range(k):
-        idx, code = divmod(idx, Q)
-        if not code:
-            continue
-        v = [0] * k
-        for pos in range(k - 1, -1, -1):
-            code, v[pos] = divmod(code, q)
+    for c in range(0, k * k, k):
+        v = entries[c:c + k]
         for pos, a, b in basis:
             f = v[pos]
             if not f:
                 continue
-            if prime:
+            if gf.r == 1:
                 v = [(a * s - f * t) % q for s, t in zip(v, b)]
-            elif tables is not None:
-                ma, mf = mul[a], mul[neg[f]]
-                v = [add[ma[s]][mf[t]] for s, t in zip(v, b)]
             else:
-                nf = gf.neg(f)
-                v = [gf.add(gf.mul(a, s), gf.mul(nf, t)) for s, t in zip(v, b)]
+                nf = neg(f)
+                v = [add(mul(a, s), mul(nf, t)) for s, t in zip(v, b)]
         for pos, e in enumerate(v):
             if e:
                 basis.append((pos, e, v))

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -416,6 +417,13 @@ class FieldRing(Ring):
         return ",".join(str(c) for c in self.field.coeffs_of(i))
 
 
+def _entry_literal(gf, e: int) -> str:
+    """Literal of a field entry inside a matrix or trivial-extension
+    element: its coefficients, parenthesised over an extension field."""
+    text = ",".join(str(c) for c in gf.coeffs_of(e))
+    return f"({text})" if gf.r > 1 else text
+
+
 class MatrixRing(Ring):
     """k-by-k matrices over GF(q); forms are row tuples of field indices."""
 
@@ -426,7 +434,6 @@ class MatrixRing(Ring):
         self.descriptor = descriptor
         self.field = galois_field(descriptor)
         self.q = self.field.order
-        self.Q = self.q ** k          # one packed column
         self.size = self.q ** (k * k)
         self.one_index = self._encode_identity()
         self.summands = (descriptor.p,) * (descriptor.r * k * k)
@@ -467,29 +474,20 @@ class MatrixRing(Ring):
     def _mul(self, i, j):
         """Entry (r, c) of the product is row r of i dotted with column c of
         j: integers mod q over a prime field, else field indices combined
-        through the field's tables (or its per-call arithmetic above
-        FIELD_TABLE_CAP), as in recipe.matrix_rank."""
+        by the field's own add and mul."""
         k, q, gf = self.k, self.q, self.field
         a, b = self._entries(i), self._entries(j)
         rows = [a[r::k] for r in range(k)]
         prime = gf.r == 1
-        tables = None if prime else gf.tables()
-        if tables is not None:
-            add, mul, _ = tables
+        add, mul = gf.add, gf.mul
         out = 0
         for c in range(0, k * k, k):
             col = b[c:c + k]
             for row in rows:
                 if prime:
                     s = sum(x * y for x, y in zip(row, col)) % q
-                elif tables is not None:
-                    s = 0
-                    for x, y in zip(row, col):
-                        s = add[s][mul[x][y]]
                 else:
-                    s = 0
-                    for x, y in zip(row, col):
-                        s = gf.add(s, gf.mul(x, y))
+                    s = reduce(add, map(mul, row, col))
                 out = out * q + s
         return out
 
@@ -501,12 +499,9 @@ class MatrixRing(Ring):
                 self.descriptor.modulus)
 
     def format_element(self, i):
-        gf = self.field
-        def entry(e: int) -> str:
-            text = ",".join(str(c) for c in gf.coeffs_of(e))
-            return f"({text})" if gf.r > 1 else text
-        rows = self.decode(i)
-        return "[" + ",".join("[" + ",".join(entry(e) for e in row) + "]" for row in rows) + "]"
+        rows = ("[" + ",".join(_entry_literal(self.field, e) for e in row) + "]"
+                for row in self.decode(i))
+        return "[" + ",".join(rows) + "]"
 
 
 class PolyQuotientRing(Ring):
@@ -634,12 +629,8 @@ class TrivialExtensionRing(Ring):
                 self.descriptor.modulus, self.m)
 
     def format_element(self, i):
-        gf = self.field
         a, u = self.decode(i)
-        def entry(e: int) -> str:
-            text = ",".join(str(c) for c in gf.coeffs_of(e))
-            return f"({text})" if gf.r > 1 else text
-        return "(" + ",".join([entry(a)] + [entry(x) for x in u]) + ")"
+        return "(" + ",".join(_entry_literal(self.field, e) for e in (a, *u)) + ")"
 
 
 class ProductRing(Ring):
@@ -885,8 +876,7 @@ class QuotientRing(Ring):
 # ---------------------------------------------------------------------------
 
 
-def additive_closure(ring: Ring, generators: Iterable[int],
-                     stop_when_full: bool = False) -> frozenset[int]:
+def additive_closure(ring: Ring, generators: Iterable[int]) -> frozenset[int]:
     """Smallest additive subgroup containing the generators.
 
     Each new generator g joins by doubling: with H the closure so far,
@@ -894,8 +884,9 @@ def additive_closure(ring: Ring, generators: Iterable[int],
     S, which happens exactly when S = H + <g>, so each generator costs
     log2 of its order modulo H row gathers.
 
-    With stop_when_full, returns the full index set as soon as the closure
-    is forced to be the whole group (size beyond half the ring).
+    After each generator the closure is a subgroup, whose order divides
+    |R|; once it has more than |R|/2 elements it is the whole ring, which
+    is returned at once.
     """
     n = ring.size
     closure: set[int] = {0}
@@ -909,8 +900,8 @@ def additive_closure(ring: Ring, generators: Iterable[int],
             row = ring.add_row(step)
             closure.update([row[s] for s in closure])
             step = row[step]
-        if stop_when_full and len(closure) > n // 2:
-            return frozenset(range(n))  # subgroup order divides n
+        if len(closure) > n // 2:
+            return frozenset(range(n))
 
 
 def validate_ideal(ring: Ring, members: frozenset[int]) -> None:

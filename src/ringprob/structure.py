@@ -145,7 +145,7 @@ def principal_ideal_members(ring: Ring, gi: int) -> frozenset[int]:
                     break
     if one in generators:
         return frozenset(range(n))
-    return additive_closure(ring, generators, stop_when_full=True)
+    return additive_closure(ring, generators)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .closedform import (
     prob_chain_formula,
     prob_j2zero_formula,
     prob_matrix_formula,
+    prob_unit_formula,
     prob_zn,
     corollary_43_predicates,
     corollary_44_predicate,
@@ -333,7 +334,7 @@ def _lemma41(ring: Ring):
 def _thm42(ring: Ring):
     rep = structure_report(ring)
     q, n = rep.q, rep.n
-    unit_value = ProbFraction(q - 1, q ** (n + 1))
+    unit_value = prob_unit_formula(ring).value
     radical = local_bounds(ring, NONZERO_RADICAL)
     zero = local_bounds(ring, ZERO_CLASS)
 

@@ -295,3 +295,10 @@ class TestLazyTables:
         assert gf.order > FIELD_TABLE_CAP
         assert gf.mul(5, 7) == gf._mul_raw(5, 7)
         assert gf.tables() is None and gf.mul_table is None
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 8)])
+    def test_inverse_builds_no_table(self, p, r):
+        gf = GaloisField(field_make(p, r))
+        inverses = [gf.inv(x) for x in range(1, gf.order)]
+        assert (gf.add_table, gf.mul_table, gf.neg_table) == (None, None, None)
+        assert all(gf._mul_raw(x, y) == 1 for x, y in enumerate(inverses, 1))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ringprob import rings
 from ringprob.corpus import default_corpus, fixture_path, upper_triangular_tables
 from ringprob.errors import (
     ImproperIdeal,
@@ -12,6 +13,7 @@ from ringprob.errors import (
     SizeCapExceeded,
     ValidationError,
 )
+from ringprob.probability import pair_counts
 from ringprob.rings import (
     FieldRing,
     MatrixRing,
@@ -31,6 +33,8 @@ from ringprob.rings import (
     zmod,
 )
 from ringprob.specparse import parse_ring_spec
+from ringprob.structure import principal_ideal_members, structure_report
+from ringprob.verify import _proper_principal_ideals
 
 
 class TestSizes:
@@ -246,7 +250,6 @@ class TestQuotients:
 
     @staticmethod
     def _nested_ideal_pairs(ring):
-        from ringprob.structure import principal_ideal_members
         distinct = {principal_ideal_members(ring, g) for g in range(ring.size)}
         proper = [m for m in distinct if len(m) < ring.size]
         return [(a, b) for a in proper for b in proper if a < b and a <= b]
@@ -281,6 +284,18 @@ class TestQuotients:
                         q2.mul_index(to_nested[i], to_nested[j])
                     assert to_nested[direct.add_index(i, j)] == \
                         q2.add_index(to_nested[i], to_nested[j])
+
+    def test_pair_counts_are_coset_sums(self):
+        # #{(a, b) : ab in x + I} = |I|^2 * hits_{R/I}(x + I), so the
+        # quotient's pair counts are coset sums of the parent's counts.
+        for _, ring in default_corpus():
+            counts = pair_counts(ring, cap=None)
+            for members in _proper_principal_ideals(ring):
+                quot = quotient_make(ring, members)
+                sums = [0] * quot.size
+                for y, c in enumerate(counts):
+                    sums[quot.coset_index_of(y)] += c
+                assert [len(members) ** 2 * c for c in pair_counts(quot, cap=None)] == sums
 
 
 class TestTableRing:
@@ -428,3 +443,45 @@ class TestMemoTables:
         assert not calls
         ring.mul_row(0)
         assert 0 < len(calls) <= ring.size * len(ring.radices)
+
+
+PER_CALL_SPECS = [
+    "Z12", "GF9", "M2(GF2)", "chain(2,3)", "GR(2,2,2)", "triv(2,2)", "Z2 x Z4",
+    "Z3 x M1(GF4)", "table:<fixture>", "table:<fixture> x Z2",
+]
+
+
+class TestPerCallOperations:
+    """A ring above DEFAULT_SIZE_CAP builds no table and computes every
+    operation per call; with the cap at 1 every small ring does, and must
+    agree with a tabled instance of the same ring."""
+
+    @pytest.mark.parametrize("spec", PER_CALL_SPECS)
+    def test_untabled_matches_tabled(self, spec, monkeypatch):
+        text = spec.replace("<fixture>", fixture_path())
+        tabled = parse_ring_spec(text)
+        n = tabled.size
+        members = next((m for m in (principal_ideal_members(tabled, g) for g in range(1, n))
+                        if len(m) < n), frozenset({0}))
+        tabled_quot = quotient_make(tabled, members)
+        tabled_quot.mul_row(0)          # both rings build their tables here
+        report = structure_report(tabled)
+        monkeypatch.setattr(rings, "DEFAULT_SIZE_CAP", 1)
+        untabled = parse_ring_spec(text)
+        for i in range(n):
+            assert list(untabled.add_row(i)) == list(tabled.add_row(i))
+            assert list(untabled.mul_row(i)) == list(tabled.mul_row(i))
+            assert untabled.mul_column(i) == tabled.mul_column(i)
+            assert tabled.add_index(i, untabled.neg_index(i)) == 0
+            for j in range(n):
+                assert untabled.add_index(i, j) == tabled.add_index(i, j)
+                assert untabled.mul_index(i, j) == tabled.mul_index(i, j)
+        assert structure_report(untabled) == report
+        quot = quotient_make(untabled, members)
+        for i in range(quot.size):
+            assert tabled_quot.add_index(i, quot.neg_index(i)) == 0
+            for j in range(quot.size):
+                assert quot.add_index(i, j) == tabled_quot.add_index(i, j)
+                assert quot.mul_index(i, j) == tabled_quot.mul_index(i, j)
+        assert tabled._mul_rows is not None and tabled_quot._mul_rows is not None
+        assert untabled._mul_rows is None and quot._mul_rows is None
