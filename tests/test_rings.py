@@ -1,6 +1,14 @@
-"""Ring constructions: indexing, arithmetic, axioms, quotients, tables."""
+"""Ring constructions: indexing, arithmetic, axioms, quotients, tables.
 
+Run as a script (PYTHONPATH=src python tests/test_rings.py) to print the
+table pins that TestTablePins checks, in the format of
+tests/data/tables.sha256.
+"""
+
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -485,3 +493,50 @@ class TestPerCallOperations:
                 assert quot.mul_index(i, j) == tabled_quot.mul_index(i, j)
         assert tabled._mul_rows is not None and tabled_quot._mul_rows is not None
         assert untabled._mul_rows is None and quot._mul_rows is None
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# with the pool's GR(3,2,2), chain(4,3), M2(GF5) and triv(4,2): an opaque
+# table digit on each side of a cyclic one
+TABLE_PIN_SPECS = ["table:<fixture> x Z3", "Z3 x table:<fixture>"]
+
+
+def table_digest(ring) -> str:
+    """sha256 of the add rows, the mul rows and the negation list."""
+    h = hashlib.sha256()
+    for rows in (map(ring.add_row, range(ring.size)), map(ring.mul_row, range(ring.size))):
+        for row in rows:
+            h.update((",".join(map(str, row)) + "\n").encode())
+    h.update(",".join(str(ring.neg_index(i)) for i in range(ring.size)).encode())
+    return h.hexdigest()
+
+
+def pinned_tables():
+    """(label, ring) for every pinned table: the verify-pool specs, a few
+    more recipe and table products, and each quotient of a default corpus
+    ring by a proper principal ideal, labelled by its place in
+    _proper_principal_ideals."""
+    root = DATA.parent.parent
+    for spec in json.loads((DATA / "verify_pool.json").read_text()):
+        path = spec.startswith("table:")
+        yield spec, parse_ring_spec(f"table:{root / spec[6:]}" if path else spec)
+    for spec in TABLE_PIN_SPECS:
+        yield spec, parse_ring_spec(spec.replace("<fixture>", fixture_path()))
+    for label, ring in default_corpus():
+        for k, members in enumerate(_proper_principal_ideals(ring)):
+            yield f"{label} / I{k}", quotient_make(ring, members)
+
+
+class TestTablePins:
+    def test_tables_are_pinned(self):
+        """Every table the builders produce, byte for byte as pinned."""
+        pins = [line.split("  ", 1) for line in (DATA / "tables.sha256").read_text().splitlines()]
+        got = [(table_digest(ring), label) for label, ring in pinned_tables()]
+        assert [label for _, label in got] == [label for _, label in pins]
+        assert [digest for digest, _ in got] == [digest for digest, _ in pins]
+
+
+if __name__ == "__main__":
+    for label, ring in pinned_tables():
+        print(f"{table_digest(ring)}  {label}")
