@@ -410,23 +410,16 @@ class GaloisField:
         return table[i][j]
 
     def inv(self, i: int) -> int:
-        """Multiplicative inverse i^(q-2), raised modulo the field's modulus
-        by _poly_powmod, so no table is built."""
+        """Multiplicative inverse i^(q-2)."""
         if i == 0:
             raise DivisionByZero("inverse of zero")
-        coeffs = _poly_trim(list(self.coeffs_of(i)))
-        power = _poly_powmod(coeffs, self.order - 2, self.descriptor.modulus, self.p)
-        return self.index_of(power)
+        return self.pow(i, self.order - 2)
 
     def pow(self, i: int, e: int) -> int:
-        result = 1
-        base = i
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        """i^e for e >= 0, raised modulo the field's modulus by
+        _poly_powmod, so no table is built."""
+        coeffs = _poly_trim(list(self.coeffs_of(i)))
+        return self.index_of(_poly_powmod(coeffs, e, self.descriptor.modulus, self.p))
 
 
 @lru_cache(maxsize=None)

@@ -4,16 +4,21 @@ Every construction assigns each element an index in [0, |R|) with index 0
 the additive zero.  All arithmetic is exact integer arithmetic on indices;
 rings at or below DEFAULT_SIZE_CAP elements build full add/mul tables on
 the first table access (add_row, mul_row or an *_index call), so a query
-that never enumerates builds none.
+that never enumerates builds none.  A quotient ring is the exception: its
+coset check yields its mul rows at construction, and its add rows and
+negation list are built on the first additive access.  Each table is
+assigned whole, so threads racing on a first access may each build it,
+with equal results.
 
 Additive presentation.  Each ring lists its summands, slowest first: an
 int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
 through that ring's own operations.  An element index is exactly its
 mixed-radix digit vector over these radices, so addition and negation
 work digit by digit, and one builder (Ring._build_tables) derives both
-tables from them plus _mul on the digit generators.  A table ring copies
-its given tables and a quotient ring reads its tables off its parent's;
-each is one opaque digit of any ring built over it.
+tables from them plus _mul on (digit element, additive generator) pairs
+only.  A table ring copies its given tables and a quotient ring reads its
+tables off its parent's; each is one opaque digit of any ring built over
+it.
 
 Radices per construction, slowest digit first (q = p^r):
   ZMod(n)              (n,)             index = residue
@@ -104,16 +109,17 @@ class Ring:
         """Build the add/mul tables and the negation list on first use;
         False for a ring above DEFAULT_SIZE_CAP, which computes per call.
 
-        The mul rows are assigned last, so a ring whose mul rows are set
-        has all three; threads racing on the first use may each build
-        them, with equal results."""
-        if self._mul_rows is None:
+        Each is assigned whole and the add rows last, so a ring whose add
+        rows are set has all three; threads racing on the first use may
+        each build them, with equal results.  A quotient sets its mul rows
+        at construction, and this builds its add rows and negation list."""
+        if self._add_rows is None:
             if self.size > DEFAULT_SIZE_CAP:
                 return False
             add_rows, mul_rows = self._build_tables()
             self._neg_list = [self._neg(i) for i in range(self.size)]
-            self._add_rows = add_rows
             self._mul_rows = mul_rows
+            self._add_rows = add_rows
         return True
 
     def _build_tables(self) -> tuple[list[array], list[array]]:
@@ -125,11 +131,17 @@ class Ring:
         each run of radix*s indices (a rotation for a cyclic digit), so the
         row is rest's row re-sliced.
 
+        Column g, a -> a*g, for each additive generator g: a*g = (v*s)*g +
+        rest*g, and the a led by v*s are v*s + y for y < s, so the column
+        grows digit by digit, fastest first, with col[v*s + y] = (v*s)*g +
+        col[y].
+
         Mul row a grows digit by digit, fastest first: once row[0:s) is
         known, row[c*s + y] = a*(c*e) + row[y] for each value c of the digit
-        at stride s, where a*(c*e) is c*(a*e) for a cyclic digit and
-        _mul(a, c*s) for an opaque one.  So _mul runs once per (a, cyclic
-        digit) and once per (a, opaque digit value), never on all pairs.
+        at stride s, where a*(c*e) is c*(a*e) for a cyclic digit and a
+        column entry for an opaque one.  So _mul runs only on (v*s,
+        generator) pairs, at most len(additive_generators()) * sum(m - 1)
+        calls, never on all pairs.
         """
         n = self.size
         code = _row_typecode(n)
@@ -149,20 +161,27 @@ class Ring:
                 for lo, hi in cuts:
                     row += prev[base + lo:base + hi]
             add_rows.append(row[:])     # an exact-size copy drops the slack += leaves
+        cols = {}
+        for g in self.additive_generators():
+            col = cols[g] = [0]
+            for stride, m, _ in self._digits:
+                for v in range(1, m):
+                    shift = add_rows[self._mul(v * stride, g)]
+                    col += [shift[c] for c in col[:stride]]
         mul_rows = []
         for a in range(n):
             row = [0]
             for stride, m, opaque in self._digits:
                 if opaque is None:
                     # doubling: row[(k + c)*s + y] = k*(a*e) + row[c*s + y]
-                    step = add_rows[self._mul(a, stride)]
+                    step = add_rows[cols[stride][a]]
                     k = 1
                     while k < m:
                         shift = add_rows[step[row[(k - 1) * stride]]]
                         row += [shift[y] for y in row[:min(k, m - k) * stride]]
                         k = min(2 * k, m)
                 else:
-                    prods = [self._mul(a, c * stride) for c in range(1, m)]
+                    prods = [cols[c * stride][a] for c in range(1, m)]
                     row += [add_rows[x][y] for x in prods for y in row]
             mul_rows.append(array(code, row))
         return add_rows, mul_rows
@@ -781,7 +800,9 @@ class QuotientRing(Ring):
     """R/I for a validated proper two-sided ideal; elements are cosets.
 
     The canonical representative of a coset is its minimal parent index
-    and cosets are indexed in representative order, so coset 0 is I.
+    and cosets are indexed in representative order, so coset 0 is I.  The
+    coset check yields the mul rows, set at construction; the add rows and
+    negation list are built on the first additive access.
     """
 
     def __init__(self, parent: Ring, members: Iterable[int]):
@@ -793,7 +814,7 @@ class QuotientRing(Ring):
         self.members = members
         pn = parent.size
         ideal = list(members)
-        cmap = [-1] * pn  # parent index -> minimal index of its coset
+        cmap = [-1] * pn  # parent index -> its coset's index
         reps = []
         cosets = []
         for x in range(pn):
@@ -803,63 +824,62 @@ class QuotientRing(Ring):
                 row = parent.add_row(x)
                 coset = [row[i] for i in ideal]
                 for y in coset:
-                    cmap[y] = x
+                    cmap[y] = len(reps)
                 reps.append(x)
                 cosets.append(coset)
         self._cmap = cmap
         self._reps = reps
-        self._qidx = {rep: t for t, rep in enumerate(reps)}
         self.size = len(reps)
-        self.one_index = self._qidx[cmap[parent.one_index]]
-        self._assert_well_defined(cosets)
+        self.one_index = cmap[parent.one_index]
         self.summands = (self,)
         self._init_tables()
+        self._mul_rows = self._assert_well_defined(cosets)
 
     def _build_tables(self) -> tuple[list[array], list[array]]:
-        # Cosets add and multiply through their representatives: row i is
-        # the parent's row of representative i, read at every representative
-        # and mapped to cosets.
-        code = _row_typecode(self.size)
-        coset = [self._qidx[rep] for rep in self._cmap]
-        reps = self._reps
-        return ([array(code, [coset[row[r]] for r in reps])
-                 for row in map(self.parent.add_row, reps)],
-                [array(code, [coset[row[r]] for r in reps])
-                 for row in map(self.parent.mul_row, reps)])
+        # Cosets add through their representatives: row i is the parent's
+        # add row of representative i, read at every representative and
+        # mapped to cosets.  The mul rows came from the coset check.
+        code, cmap, reps = _row_typecode(self.size), self._cmap, self._reps
+        return ([array(code, [cmap[row[r]] for r in reps]) for row in map(self.parent.add_row, reps)],
+                self._mul_rows)
 
-    def _assert_well_defined(self, cosets: list[list[int]]) -> None:
+    def _assert_well_defined(self, cosets: list[list[int]]) -> list[array] | None:
         """cmap[x*y] == cmap[rep(x)*rep(y)] for every parent pair, compared
-        a whole row at a time: cmap o row_x against cmap o row_rep o cmap,
-        whose right side is computed once per coset."""
-        parent, cmap = self.parent, self._cmap
-        for rep, coset in zip(self._reps, cosets):
+        a whole row at a time: cmap o row_x against the quotient's row
+        read through cmap, which is computed once per coset.  Returns the
+        quotient's mul rows, or None above DEFAULT_SIZE_CAP."""
+        parent, cmap, reps = self.parent, self._cmap, self._reps
+        code, keep = _row_typecode(self.size), self.size <= DEFAULT_SIZE_CAP
+        mul_rows = []
+        for rep, coset in zip(reps, cosets):
             got = [cmap[v] for v in parent.mul_row(rep)]
-            want = [got[c] for c in cmap]
+            qrow = [got[r] for r in reps]
+            want = [qrow[c] for c in cmap]
             for x in coset:
                 if [cmap[v] for v in parent.mul_row(x)] != want:
                     raise NotAnIdeal("multiplication is not well-defined on cosets")
+            if keep:
+                mul_rows.append(array(code, qrow))
+        return mul_rows if keep else None
 
     def _add(self, i, j):
-        p = self.parent
-        return self._qidx[self._cmap[p.add_index(self._reps[i], self._reps[j])]]
+        return self._cmap[self.parent.add_index(self._reps[i], self._reps[j])]
 
     def _mul(self, i, j):
-        p = self.parent
-        return self._qidx[self._cmap[p.mul_index(self._reps[i], self._reps[j])]]
+        return self._cmap[self.parent.mul_index(self._reps[i], self._reps[j])]
 
     def _neg(self, i):
-        return self._qidx[self._cmap[self.parent.neg_index(self._reps[i])]]
+        return self._cmap[self.parent.neg_index(self._reps[i])]
 
     def coset_index_of(self, parent_index: int) -> int:
         """Quotient index of the coset containing a parent element."""
-        return self._qidx[self._cmap[parent_index]]
+        return self._cmap[parent_index]
 
     def representative(self, i: int) -> int:
         return self._reps[i]
 
     def decode(self, i):
-        rep = self._reps[i]
-        return tuple(x for x in range(self.parent.size) if self._cmap[x] == rep)
+        return tuple(x for x in range(self.parent.size) if self._cmap[x] == i)
 
     def encode(self, form):
         return self.coset_index_of(min(form))

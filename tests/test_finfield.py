@@ -302,3 +302,17 @@ class TestLazyTables:
         inverses = [gf.inv(x) for x in range(1, gf.order)]
         assert (gf.add_table, gf.mul_table, gf.neg_table) == (None, None, None)
         assert all(gf._mul_raw(x, y) == 1 for x, y in enumerate(inverses, 1))
+
+    def test_pow_builds_no_table(self):
+        gf = GaloisField(field_make(2, 8))
+        assert gf.pow(3, 254) == gf.inv(3) and gf.pow(0, 0) == 1
+        assert (gf.add_table, gf.mul_table, gf.neg_table) == (None, None, None)
+
+    @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_pow_matches_repeated_mul(self, p, r):
+        gf = GaloisField(field_make(p, r))
+        for x in range(gf.order):
+            power = 1
+            for e in range(2 * gf.order):
+                assert gf.pow(x, e) == power, (x, e)
+                power = gf.mul(power, x)

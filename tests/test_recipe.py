@@ -128,9 +128,9 @@ def table_work(monkeypatch):
     ring_tables = Ring._tables
 
     def counted_tables(self):
-        built = self._mul_rows is None
+        built = self._add_rows is None
         ok = ring_tables(self)
-        counts["ring tables"] += built and self._mul_rows is not None
+        counts["ring tables"] += built and self._add_rows is not None
         return ok
 
     monkeypatch.setattr(Ring, "_tables", counted_tables)

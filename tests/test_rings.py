@@ -43,6 +43,7 @@ from ringprob.rings import (
 from ringprob.specparse import parse_ring_spec
 from ringprob.structure import principal_ideal_members, structure_report
 from ringprob.verify import _proper_principal_ideals
+from test_structure import NONCOMMUTATIVE, _one_sided, _outcome, validate_ideal_all_pairs
 
 
 class TestSizes:
@@ -305,6 +306,43 @@ class TestQuotients:
                     sums[quot.coset_index_of(y)] += c
                 assert [len(members) ** 2 * c for c in pair_counts(quot, cap=None)] == sums
 
+    def test_mul_rows_from_coset_check_add_rows_on_demand(self):
+        """Each corpus quotient holds its mul rows from construction;
+        pair_counts reads only them, and the add rows and negation list
+        built later match the parent's rows read through the cosets."""
+        quotients = 0
+        for _, ring in default_corpus():
+            n = ring.size
+            for members in _proper_principal_ideals(ring):
+                quot = quotient_make(ring, members)
+                pair_counts(quot, cap=None)
+                assert quot._mul_rows is not None
+                assert quot._add_rows is None and quot._neg_list is None
+                # oracle: each coset named by its minimal member, numbered in order
+                rep_of = [min(ring.add_row(x)[m] for m in members) for x in range(n)]
+                reps = sorted(set(rep_of))
+                coset = [reps.index(r) for r in rep_of]
+                for i, rep in enumerate(reps):
+                    assert list(quot.add_row(i)) == [coset[ring.add_index(rep, r)] for r in reps]
+                    assert list(quot.mul_row(i)) == [coset[ring.mul_index(rep, r)] for r in reps]
+                    assert quot.neg_index(i) == coset[ring.neg_index(rep)]
+                    assert quot.representative(i) == rep
+                    form = quot.decode(i)
+                    assert form == tuple(x for x in range(n) if rep_of[x] == rep)
+                    assert quot.encode(form) == i
+                assert [quot.coset_index_of(x) for x in range(n)] == coset
+                quotients += 1
+        assert quotients == 71
+
+    @pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE))
+    def test_one_sided_ideals_refused(self, name):
+        ring = NONCOMMUTATIVE[name]()
+        left, right = _one_sided(ring)
+        for members in left + right:
+            with pytest.raises(NotAnIdeal) as refused:
+                quotient_make(ring, members)
+            assert str(refused.value) == _outcome(validate_ideal_all_pairs, ring, members)
+
 
 class TestTableRing:
     def test_fixture_construction_loads(self):
@@ -434,11 +472,13 @@ class TestMemoTables:
     @pytest.mark.parametrize("ring_factory, cls", [
         (lambda: chain_ring(2, 5), PolyQuotientRing),
         (lambda: matrix_ring(2, 2), MatrixRing),
+        pytest.param(lambda: matrix_ring(3, 2), MatrixRing, id="M3(GF2)"),
     ])
     def test_build_calls_mul_only_on_generators(self, ring_factory, cls, monkeypatch):
-        """The table build calls _mul on (a, digit generator) pairs only,
-        never on all |R|^2 pairs.  Construction builds nothing: the first
-        table access does."""
+        """The table build calls _mul on (digit element, additive generator)
+        pairs only: at most one call per generator and nonzero digit value,
+        81 for M3(GF2).  Construction builds nothing: the first table
+        access does."""
         calls = []
         structural = cls._mul
 
@@ -450,7 +490,9 @@ class TestMemoTables:
         ring = ring_factory()
         assert not calls
         ring.mul_row(0)
-        assert 0 < len(calls) <= ring.size * len(ring.radices)
+        generators = ring.additive_generators()
+        assert 0 < len(calls) <= len(generators) * sum(m - 1 for m in ring.radices)
+        assert {j for _, j in calls} <= set(generators)
 
 
 PER_CALL_SPECS = [
@@ -472,7 +514,7 @@ class TestPerCallOperations:
         members = next((m for m in (principal_ideal_members(tabled, g) for g in range(1, n))
                         if len(m) < n), frozenset({0}))
         tabled_quot = quotient_make(tabled, members)
-        tabled_quot.mul_row(0)          # both rings build their tables here
+        tabled_quot.add_row(0)          # both rings build their tables here
         report = structure_report(tabled)
         monkeypatch.setattr(rings, "DEFAULT_SIZE_CAP", 1)
         untabled = parse_ring_spec(text)
