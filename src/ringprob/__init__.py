@@ -31,6 +31,7 @@ from .errors import (
     BadDimensionOrder,
     DegreeOutOfRange,
     DivisionByZero,
+    EnumerationLimitExceeded,
     FormulaUnavailable,
     ImproperIdeal,
     MixedFields,
@@ -69,6 +70,7 @@ from .probability import (
 )
 from .rings import (
     DEFAULT_SIZE_CAP,
+    ENUMERATION_LIMIT,
     Ring,
     RingElement,
     chain_ring,

@@ -1,8 +1,9 @@
 """Command-line front end: prob, spectrum, structure, and verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation
-error, 3 size-cap refusal (override with --force), 4 internal error (any
-other exception; reported on one line, with no traceback).
+error, 3 size-cap refusal (override with --force, except enumeration
+above rings.ENUMERATION_LIMIT), 4 internal error (any other exception;
+reported on one line, with no traceback).
 """
 
 from __future__ import annotations

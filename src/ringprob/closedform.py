@@ -277,8 +277,10 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
 
 def prob_auto(ring: Ring, x: RingElement | int,
               cap: int | None = DEFAULT_SIZE_CAP) -> FormulaResult:
-    """Formula dispatch with the annihilator-sum engine as the fallback."""
-    check_size_cap(ring, cap)
+    """Formula dispatch with the annihilator-sum engine as the fallback,
+    which alone is held to rings.ENUMERATION_LIMIT when cap is None."""
+    if cap is not None:
+        check_size_cap(ring, cap)
     try:
         return prob_formula(ring, x)
     except FormulaUnavailable:

@@ -32,6 +32,8 @@ class DivisionByZero(RingProbError, ZeroDivisionError):
 class SizeCapExceeded(RingProbError):
     """Ring is larger than the enumeration size cap."""
 
+    _above = "the cap of {} (use --force / cap=None to override)"
+
     def __init__(self, size: int | None, cap: int, min_bits: int = 0):
         """size is the ring's order, or None when only order >= 2^min_bits
         is known."""
@@ -42,10 +44,15 @@ class SizeCapExceeded(RingProbError):
                 count = str(size)
             except ValueError:      # more digits than int-to-str conversion allows
                 count = f"at least 2^{size.bit_length() - 1}"
-        super().__init__(f"ring has {count} elements, above the cap of {cap} "
-                         f"(use --force / cap=None to override)")
+        super().__init__(f"ring has {count} elements, above {self._above.format(cap)}")
         self.size = size
         self.cap = cap
+
+
+class EnumerationLimitExceeded(SizeCapExceeded):
+    """Ring is larger than the enumeration limit, which no cap lifts."""
+
+    _above = "the enumeration limit of {}, which --force / cap=None does not lift"
 
 
 class NotAnIdeal(ValidationError):

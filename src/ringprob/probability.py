@@ -136,15 +136,25 @@ def pair_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ..
 
 
 def annsum_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
-    """All-x analogue of prob_annsum in one sweep (for cross-validation)."""
+    """All-x analogue of prob_annsum (for cross-validation): x gets the
+    sum of |ann_r(a)| over the a with x in aR.  The a are grouped by aR
+    and each group's sum is added once over its aR.  |aR| = |R| /
+    |ann_r(a)|, so the a with |ann_r(a)| = 1 are those with aR = R."""
     check_size_cap(ring, cap)
-    n = ring.size
-    counts = [0] * n
-    for a in range(n):
+    whole = 0       # how many a have aR = R
+    ann_sums: dict[frozenset[int], int] = {}
+    for a in range(ring.size):
         row = ring.mul_row(a)
         ann = row.count(0)
-        for reached in set(row):
-            counts[reached] += ann
+        if ann == 1:
+            whole += 1
+        else:
+            reached = frozenset(row)
+            ann_sums[reached] = ann_sums.get(reached, 0) + ann
+    counts = [whole] * ring.size
+    for reached, ann in ann_sums.items():
+        for x in reached:
+            counts[x] += ann
     return tuple(counts)
 
 

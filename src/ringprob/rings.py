@@ -5,7 +5,8 @@ the additive zero.  All arithmetic is exact integer arithmetic on indices;
 rings at or below DEFAULT_SIZE_CAP elements build full add/mul tables on
 the first table access (add_row, mul_row or an *_index call), so a query
 that never enumerates builds none.  A quotient ring is the exception: its
-coset check yields its mul rows at construction, and its add rows and
+mul rows are set at construction (R/{0} shares its parent's, any other
+quotient keeps those its coset check gathers), and its add rows and
 negation list are built on the first additive access.  Each table is
 assigned whole, so threads racing on a first access may each build it,
 with equal results.
@@ -48,6 +49,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    EnumerationLimitExceeded,
     ImproperIdeal,
     MixedRings,
     NotAnIdeal,
@@ -66,6 +68,12 @@ from .finfield import (
 # Rings up to this size get full |R| x |R| operation tables on first use,
 # and the enumeration engines refuse larger ones unless given cap=None.
 DEFAULT_SIZE_CAP = 4096
+
+# Enumeration refuses a ring above this size whatever the cap.  It walks
+# |R|^2 pairs, each a Python-level product above DEFAULT_SIZE_CAP: 18 s
+# for Z8192 on a 2-vCPU host, so about 20 min at 2^16 and each doubling 4x
+# that, while cheap closed forms answer rings up to 2^4096 elements.
+ENUMERATION_LIMIT = 2 ** 16
 
 # Explicit Cayley-table rings are audited in O(N^3); keep them small.
 TABLE_RING_CAP = 256
@@ -801,8 +809,9 @@ class QuotientRing(Ring):
 
     The canonical representative of a coset is its minimal parent index
     and cosets are indexed in representative order, so coset 0 is I.  The
-    coset check yields the mul rows, set at construction; the add rows and
-    negation list are built on the first additive access.
+    mul rows are set at construction: R/{0} shares its parent's rows, and
+    any other quotient keeps the rows its coset check gathers.  The add
+    rows and negation list are built on the first additive access.
     """
 
     def __init__(self, parent: Ring, members: Iterable[int]):
@@ -813,16 +822,17 @@ class QuotientRing(Ring):
         self.parent = parent
         self.members = members
         pn = parent.size
-        ideal = list(members)
+        others = list(members - {0})
         cmap = [-1] * pn  # parent index -> its coset's index
         reps = []
-        cosets = []
+        cosets = []     # the members of each coset other than its representative
         for x in range(pn):
             if cmap[x] < 0:
                 # every smaller index already lies in another coset, so x
                 # is the minimal index of x + I
                 row = parent.add_row(x)
-                coset = [row[i] for i in ideal]
+                coset = [row[i] for i in others]
+                cmap[x] = len(reps)
                 for y in coset:
                     cmap[y] = len(reps)
                 reps.append(x)
@@ -833,12 +843,16 @@ class QuotientRing(Ring):
         self.one_index = cmap[parent.one_index]
         self.summands = (self,)
         self._init_tables()
-        self._mul_rows = self._assert_well_defined(cosets)
+        if others:
+            self._mul_rows = self._assert_well_defined(cosets)
+        elif pn <= DEFAULT_SIZE_CAP:
+            # R/{0}: cosets are single elements, so the check compares rows with themselves
+            self._mul_rows = list(map(parent.mul_row, range(pn)))
 
     def _build_tables(self) -> tuple[list[array], list[array]]:
         # Cosets add through their representatives: row i is the parent's
         # add row of representative i, read at every representative and
-        # mapped to cosets.  The mul rows came from the coset check.
+        # mapped to cosets.  The mul rows were set at construction.
         code, cmap, reps = _row_typecode(self.size), self._cmap, self._reps
         return ([array(code, [cmap[row[r]] for r in reps]) for row in map(self.parent.add_row, reps)],
                 self._mul_rows)
@@ -846,7 +860,8 @@ class QuotientRing(Ring):
     def _assert_well_defined(self, cosets: list[list[int]]) -> list[array] | None:
         """cmap[x*y] == cmap[rep(x)*rep(y)] for every parent pair, compared
         a whole row at a time: cmap o row_x against the quotient's row
-        read through cmap, which is computed once per coset.  Returns the
+        read through cmap, which is computed once per coset from the
+        representative's row, itself the first row compared.  Returns the
         quotient's mul rows, or None above DEFAULT_SIZE_CAP."""
         parent, cmap, reps = self.parent, self._cmap, self._reps
         code, keep = _row_typecode(self.size), self.size <= DEFAULT_SIZE_CAP
@@ -855,9 +870,8 @@ class QuotientRing(Ring):
             got = [cmap[v] for v in parent.mul_row(rep)]
             qrow = [got[r] for r in reps]
             want = [qrow[c] for c in cmap]
-            for x in coset:
-                if [cmap[v] for v in parent.mul_row(x)] != want:
-                    raise NotAnIdeal("multiplication is not well-defined on cosets")
+            if got != want or any([cmap[v] for v in parent.mul_row(x)] != want for x in coset):
+                raise NotAnIdeal("multiplication is not well-defined on cosets")
             if keep:
                 mul_rows.append(array(code, qrow))
         return mul_rows if keep else None
@@ -961,7 +975,10 @@ def quotient_make(ring: Ring, ideal) -> QuotientRing:
 
 
 def check_size_cap(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> None:
-    """Refuse to enumerate a ring above cap; None lifts the cap."""
+    """Refuse to enumerate a ring above ENUMERATION_LIMIT, or above cap;
+    None lifts the cap but not the limit."""
+    if ring.size > ENUMERATION_LIMIT:
+        raise EnumerationLimitExceeded(ring.size, ENUMERATION_LIMIT)
     if cap is not None and ring.size > cap:
         raise SizeCapExceeded(ring.size, cap)
 

@@ -164,7 +164,8 @@ def parse_ring_spec(text: str, cap: int | None = None) -> Ring:
     _check_order(atoms, cap)
     rings = [_build_atom(kind, args) for kind, args in atoms]
     ring = rings[0] if len(rings) == 1 else ProductRing(rings)
-    check_size_cap(ring, cap)       # table atoms are sized only once loaded
+    if cap is not None:             # table atoms are sized only once loaded
+        check_size_cap(ring, cap)
     return ring
 
 

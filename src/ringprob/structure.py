@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotLocal
-from .rings import Ring, RingElement, additive_closure, validate_ideal
+from .rings import Ring, RingElement, additive_closure, check_size_cap, validate_ideal
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,7 @@ def structure_report(ring: Ring) -> StructureReport:
     """Full structural classification; memoized on the ring instance."""
     if ring._structure is not None:
         return ring._structure
+    check_size_cap(ring, cap=None)      # the enumeration limit alone
     size = ring.size
     unit_set = units(ring)
     j_members = _radical_members(ring)

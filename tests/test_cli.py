@@ -330,6 +330,27 @@ class TestMalformedInput:
         payload = json.loads(proc.stdout)
         assert (payload["hits"], payload["total"]) == (2 * q - 1, q * q)
 
+    @pytest.mark.parametrize("argv, size", [
+        (["spectrum", "--ring", "M20(GF2)"], 2 ** 400),
+        (["prob", "--ring", "Z100000000", "--x", "0", "--method", "brute"], 10 ** 8),
+    ])
+    def test_force_does_not_lift_the_enumeration_limit(self, argv, size):
+        """Enumeration above ENUMERATION_LIMIT exits 3 before any work
+        starts, --force or not; each run has its own process and a
+        timeout, since the enumeration would overflow or run for days."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringprob.cli", *argv, "--force"],
+            capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == (f"error: ring has {size} elements, above the enumeration limit "
+                               f"of 65536, which --force / cap=None does not lift\n")
+
+    def test_closed_form_answers_above_the_enumeration_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "prob", "--ring", "M20(GF2)", "--x", "#0",
+                               "--method", "formula", "--force")
+        assert code == 0
+        assert json.loads(out)["size"] == 2 ** 400
+
     def test_overlong_integer_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "structure", "--ring", "Z" + "7" * 5000)
         assert code == 2 and out == ""

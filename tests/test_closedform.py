@@ -23,6 +23,7 @@ from ringprob.closedform import (
 )
 from ringprob.errors import (
     BadDimensionOrder,
+    EnumerationLimitExceeded,
     FormulaUnavailable,
     NotChain,
     NotJ2Zero,
@@ -44,6 +45,7 @@ from ringprob import closedform, recipe
 from ringprob.corpus import default_corpus, fixture_path
 from ringprob.recipe import invariants
 from ringprob.specparse import parse_ring_spec
+from ringprob.structure import structure_report
 
 
 def brute_span_lines_f2_2():
@@ -328,6 +330,18 @@ class TestDispatch:
 
     def test_chain(self):
         assert prob_auto(zmod(8), 2).formula == "chain"
+
+    def test_only_the_fallback_meets_the_enumeration_limit(self):
+        # GF65537 has a closed form above the limit; Z(2 * 65537) has
+        # none, so its annihilator-sum fallback and its structure report
+        # are refused before any work starts
+        result = prob_auto(field_ring(65537), 0, cap=None)
+        assert result.formula == "chain"
+        assert result.value == ProbFraction(2 * 65537 - 1, 65537 ** 2)
+        with pytest.raises(EnumerationLimitExceeded):
+            prob_auto(zmod(2 * 65537), 0, cap=None)
+        with pytest.raises(EnumerationLimitExceeded):
+            structure_report(zmod(2 * 65537))
 
     def test_j2zero(self):
         assert prob_auto(trivial_extension(2, 2), 1).formula == "j2zero"

@@ -16,8 +16,10 @@ from ringprob.probability import (
     prob_brute,
     spectrum,
 )
-from ringprob.rings import field_ring, matrix_ring, product, zmod
+from ringprob.rings import field_ring, matrix_ring, product, quotient_make, zmod
+from ringprob.specparse import parse_ring_spec
 from ringprob.structure import structure_report
+from ringprob.verify import _proper_principal_ideals
 
 
 def zn_pair_oracle(n):
@@ -129,6 +131,24 @@ class TestEngineEquivalence:
                 targets = range(ring.size)
             for x in targets:
                 assert prob_brute(ring, x, cap=None) == prob_annsum(ring, x, cap=None)
+
+    @pytest.mark.parametrize("rings", [
+        "default corpus", "Z625", "M2(GF5)", "triv(4,3)", "corpus quotients"])
+    def test_annsum_counts_match_single_target_engine(self, rings):
+        """annsum_counts groups the a by aR; prob_annsum scans every a for
+        one x.  They agree at every x, on rings of up to 625 elements and
+        on the 71 quotients by proper principal ideals."""
+        if rings == "default corpus":
+            group = [ring for _, ring in default_corpus()]
+        elif rings == "corpus quotients":
+            group = [quotient_make(ring, members) for _, ring in default_corpus()
+                     for members in _proper_principal_ideals(ring)]
+            assert len(group) == 71
+        else:
+            group = [parse_ring_spec(rings)]
+        for ring in group:
+            assert list(annsum_counts(ring, cap=None)) == \
+                [prob_annsum(ring, x, cap=None).hits for x in range(ring.size)]
 
     def test_zmod_counts_match_pure_integer_oracle(self):
         for n in range(2, 13):

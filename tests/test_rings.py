@@ -15,6 +15,7 @@ import pytest
 from ringprob import rings
 from ringprob.corpus import default_corpus, fixture_path, upper_triangular_tables
 from ringprob.errors import (
+    EnumerationLimitExceeded,
     ImproperIdeal,
     MixedRings,
     NotAnIdeal,
@@ -23,6 +24,7 @@ from ringprob.errors import (
 )
 from ringprob.probability import pair_counts
 from ringprob.rings import (
+    DEFAULT_SIZE_CAP,
     FieldRing,
     MatrixRing,
     PolyQuotientRing,
@@ -162,6 +164,13 @@ class TestEnumerationOrder:
         with pytest.raises(SizeCapExceeded):
             list(ring_enumerate(zmod(100), cap=50))
         assert sum(1 for _ in ring_enumerate(zmod(100), cap=None)) == 100
+
+    def test_enumeration_limit_is_not_lifted(self):
+        limit = rings.ENUMERATION_LIMIT
+        rings.check_size_cap(zmod(limit), cap=None)
+        for cap in (None, DEFAULT_SIZE_CAP, 10 ** 9):
+            with pytest.raises(EnumerationLimitExceeded):
+                rings.check_size_cap(zmod(limit + 1), cap)
 
 
 class TestCanonicalIndexing:
@@ -333,6 +342,27 @@ class TestQuotients:
                 assert [quot.coset_index_of(x) for x in range(n)] == coset
                 quotients += 1
         assert quotients == 71
+
+    def test_zero_ideal_quotient_is_its_parent(self):
+        """R/{0} maps each element to itself and shares its parent's mul
+        rows, on every verify-pool ring."""
+        for _, ring in pool_rings():
+            n = ring.size
+            quot = quotient_make(ring, {0})
+            assert [quot.coset_index_of(x) for x in range(n)] == list(range(n))
+            assert all(quot.mul_row(i) is ring.mul_row(i) for i in range(n))
+            assert pair_counts(quot, cap=None) == pair_counts(ring, cap=None)
+
+    def test_construction_gathers_each_parent_row_once(self, monkeypatch):
+        """Building a quotient reads each parent mul row once, plus one
+        row per additive generator for validate_ideal."""
+        for _, ring in default_corpus():
+            for members in _proper_principal_ideals(ring):
+                reads = []
+                monkeypatch.setattr(ring, "mul_row", lambda i, row=ring.mul_row: reads.append(i) or row(i))
+                quotient_make(ring, members)
+                monkeypatch.undo()
+                assert len(reads) == ring.size + len(ring.additive_generators())
 
     @pytest.mark.parametrize("name", sorted(NONCOMMUTATIVE))
     def test_one_sided_ideals_refused(self, name):
@@ -554,15 +584,21 @@ def table_digest(ring) -> str:
     return h.hexdigest()
 
 
+def pool_rings():
+    """(spec, ring) for each verify-pool spec, table paths read from the
+    checkout root."""
+    root = DATA.parent.parent
+    for spec in json.loads((DATA / "verify_pool.json").read_text()):
+        path = spec.startswith("table:")
+        yield spec, parse_ring_spec(f"table:{root / spec[6:]}" if path else spec)
+
+
 def pinned_tables():
     """(label, ring) for every pinned table: the verify-pool specs, a few
     more recipe and table products, and each quotient of a default corpus
     ring by a proper principal ideal, labelled by its place in
     _proper_principal_ideals."""
-    root = DATA.parent.parent
-    for spec in json.loads((DATA / "verify_pool.json").read_text()):
-        path = spec.startswith("table:")
-        yield spec, parse_ring_spec(f"table:{root / spec[6:]}" if path else spec)
+    yield from pool_rings()
     for spec in TABLE_PIN_SPECS:
         yield spec, parse_ring_spec(spec.replace("<fixture>", fixture_path()))
     for label, ring in default_corpus():
