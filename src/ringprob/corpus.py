@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .rings import Ring
+from .rings import Ring, check_size_cap
 from .specparse import parse_ring_spec
 
 FIXTURE_NAME = "upper_triangular_f2.json"
@@ -69,8 +69,9 @@ def default_corpus() -> tuple[tuple[str, Ring], ...]:
 
 def corpus_from_file(path: str, cap: int | None = None) -> tuple[tuple[str, Ring], ...]:
     """Custom corpus: a non-empty JSON array of ring-spec strings, each
-    bounded by parse_ring_spec's cap.  A spec that fails to parse is named
-    in the error with its 1-based entry."""
+    bounded by parse_ring_spec's cap and, since every verify suite
+    enumerates it, by rings.ENUMERATION_LIMIT.  A spec that fails to
+    parse is named in the error with its 1-based entry."""
     import json
 
     from .errors import ParseError, ValidationError
@@ -87,7 +88,9 @@ def corpus_from_file(path: str, cap: int | None = None) -> tuple[tuple[str, Ring
     corpus = []
     for number, spec in enumerate(specs, 1):
         try:
-            corpus.append((spec, parse_ring_spec(spec, cap)))
+            ring = parse_ring_spec(spec, cap)
         except (ParseError, ValidationError) as exc:
             raise ValidationError(f"corpus entry {number} ({spec!r}): {exc}") from exc
+        check_size_cap(ring, cap)
+        corpus.append((spec, ring))
     return tuple(corpus)

@@ -191,6 +191,18 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--corpus", str(path))
         assert code == 3
 
+    def test_force_does_not_lift_the_enumeration_limit(self, tmp_path):
+        """Every suite enumerates each corpus ring, so a ring above
+        ENUMERATION_LIMIT is refused at load; its own process and a
+        timeout, since lemma21 would otherwise scan it for hours."""
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(["Z2", "Z70000"]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ringprob.cli", "verify", "--corpus", str(path), "--force"],
+            capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "above the enumeration limit of 65536" in proc.stderr
+
 
 class TestExitOnFailure:
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
