@@ -34,7 +34,6 @@ from .errors import (
     EnumerationLimitExceeded,
     FormulaUnavailable,
     ImproperIdeal,
-    MixedFields,
     MixedRings,
     NonPrime,
     NotAnIdeal,
@@ -49,13 +48,7 @@ from .errors import (
 )
 from .finfield import (
     FieldDescriptor,
-    FieldElement,
-    field_add,
-    field_enumerate,
-    field_inv,
     field_make,
-    field_mul,
-    field_neg,
 )
 from .probability import (
     ProbFraction,
@@ -80,8 +73,6 @@ from .rings import (
     matrix_ring,
     product,
     quotient_make,
-    ring_enumerate,
-    table_ring,
     table_ring_from_json,
     trivial_extension,
     zmod,
@@ -91,11 +82,7 @@ from .structure import (
     Ideal,
     StructureReport,
     ideal_size_power_check,
-    jacobson_radical,
     left_right_symmetry_check,
-    principal_two_sided_ideal,
-    radical_powers,
-    right_annihilator,
     structure_report,
     unit_plus_radical_check,
     units,

@@ -17,10 +17,6 @@ class DegreeOutOfRange(ValidationError):
     """Extension degree outside the supported range."""
 
 
-class MixedFields(ValidationError):
-    """Operands belong to different field descriptors."""
-
-
 class MixedRings(ValidationError):
     """Operands belong to different rings."""
 

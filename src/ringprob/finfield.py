@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegreeOutOfRange, DivisionByZero, MixedFields, NonPrime, ValidationError
+from .errors import DegreeOutOfRange, DivisionByZero, NonPrime, ValidationError
 
 MAX_EXTENSION_DEGREE = 8
 
@@ -199,7 +199,7 @@ def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Descriptors and elements
+# Descriptors
 # ---------------------------------------------------------------------------
 
 
@@ -219,45 +219,6 @@ class FieldDescriptor:
         return f"FieldDescriptor(GF({self.p}^{self.r}))" if self.r > 1 else f"FieldDescriptor(GF({self.p}))"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A field element as a length-r residue vector, constant term first."""
-
-    field: FieldDescriptor
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.field.r:
-            raise ValueError(f"expected {self.field.r} coefficients, got {len(self.coeffs)}")
-        if any(not (0 <= c < self.field.p) for c in self.coeffs):
-            raise ValueError(f"coefficients must lie in [0, {self.field.p})")
-
-    @property
-    def index(self) -> int:
-        i = 0
-        for c in reversed(self.coeffs):
-            i = i * self.field.p + c
-        return i
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return field_add(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return field_mul(self, other)
-
-    def __neg__(self) -> "FieldElement":
-        return field_neg(self)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return field_add(self, field_neg(other))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({','.join(str(c) for c in self.coeffs)})"
-
-
 def field_make(p: int, r: int) -> FieldDescriptor:
     """Canonical descriptor for GF(p^r); deterministic across runs."""
     if not is_prime(p):
@@ -265,39 +226,6 @@ def field_make(p: int, r: int) -> FieldDescriptor:
     if not 1 <= r <= MAX_EXTENSION_DEGREE:
         raise DegreeOutOfRange(f"degree {r} outside [1, {MAX_EXTENSION_DEGREE}]")
     return FieldDescriptor(p, r, smallest_irreducible(p, r))
-
-
-def _same_field(x: FieldElement, y: FieldElement) -> FieldDescriptor:
-    if x.field != y.field:
-        raise MixedFields(f"{x.field!r} vs {y.field!r}")
-    return x.field
-
-
-def field_add(x: FieldElement, y: FieldElement) -> FieldElement:
-    f = _same_field(x, y)
-    return FieldElement(f, tuple((a + b) % f.p for a, b in zip(x.coeffs, y.coeffs)))
-
-
-def field_neg(x: FieldElement) -> FieldElement:
-    f = x.field
-    return FieldElement(f, tuple((-a) % f.p for a in x.coeffs))
-
-
-def field_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    f = _same_field(x, y)
-    gf = galois_field(f)
-    return gf.element(gf.mul(x.index, y.index))
-
-
-def field_inv(x: FieldElement) -> FieldElement:
-    gf = galois_field(x.field)
-    return gf.element(gf.inv(x.index))
-
-
-def field_enumerate(f: FieldDescriptor) -> list[FieldElement]:
-    """All q elements in canonical index order (zero, one, ...)."""
-    gf = galois_field(f)
-    return [gf.element(i) for i in range(gf.order)]
 
 
 class GaloisField:
@@ -334,9 +262,6 @@ class GaloisField:
         for c in reversed(tuple(coeffs)):
             i = i * self.p + c
         return i
-
-    def element(self, i: int) -> FieldElement:
-        return FieldElement(self.descriptor, self.coeffs_of(i))
 
     # -- raw polynomial ops -------------------------------------------------
 

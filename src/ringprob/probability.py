@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from math import gcd
 
 from .errors import MixedRings, ValidationError
@@ -36,10 +35,6 @@ class ProbFraction:
             raise ValueError("total must be positive")
         if not 0 <= self.hits <= self.total:
             raise ValueError(f"hits {self.hits} outside [0, {self.total}]")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.hits, self.total)
 
     def reduced(self) -> tuple[int, int]:
         g = gcd(self.hits, self.total)
@@ -173,13 +168,6 @@ class SpectrumReport:
     ring: Ring
     counts: tuple[int, ...]
     entries: tuple[SpectrumEntry, ...]
-
-    @property
-    def total(self) -> int:
-        return self.ring.size ** 2
-
-    def prob_of(self, index: int) -> ProbFraction:
-        return ProbFraction(self.counts[index], self.total)
 
 
 def _class_label(ring: Ring, inv: Invariants, index: int) -> str:

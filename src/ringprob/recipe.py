@@ -27,7 +27,7 @@ from math import gcd, prod
 from typing import Callable
 
 from .errors import NonPrime, ValidationError
-from .finfield import factor_prime_power, is_irreducible, is_prime
+from .finfield import _MR_BOUND, factor_prime_power, is_irreducible, is_prime
 from .rings import (
     FieldRing,
     MatrixRing,
@@ -44,18 +44,47 @@ _LAYER_OF_ZERO = "layer of 0 is not defined; every power contains it"
 
 
 def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization, primes in increasing order: trial division
+    below 1000, then is_prime decides each cofactor and _rho splits a
+    composite one, which is refused above is_prime's exactness bound."""
     out: dict[int, int] = {}
     p = 2
-    prime_left = is_prime(n)        # stop as soon as the cofactor is prime
-    while not prime_left and p * p <= n:
+    while p < 1000 and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-            prime_left = is_prime(n)
         p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        elif m >= _MR_BOUND:
+            raise ValidationError(f"cannot factor a {m.bit_length()}-bit number")
+        else:
+            d = _rho(m)
+            rest += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n: Pollard's rho in Brent's form
+    (J. M. Pollard, BIT 15 (1975); R. P. Brent, BIT 20 (1980)).  x holds
+    the walk y <- y^2 + c at each power of two until gcd(x - y, n) > 1;
+    a walk that meets n itself is dropped for the next c."""
+    for c in range(1, n):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+    raise AssertionError(f"rho found no factor of {n}")
 
 
 def _valuation(x: int, p: int) -> int:

@@ -46,7 +46,7 @@ import json
 from array import array
 from functools import reduce
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EnumerationLimitExceeded,
@@ -429,10 +429,10 @@ class FieldRing(Ring):
         return self.field._mul_raw(i, j)
 
     def decode(self, i):
-        return self.field.element(i)
+        return self.field.coeffs_of(i)
 
     def encode(self, form):
-        return form.index if hasattr(form, "index") else self.field.index_of(form)
+        return self.field.index_of(form)
 
     def describe(self):
         return f"GF{self.size}"
@@ -983,13 +983,6 @@ def check_size_cap(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> None:
         raise SizeCapExceeded(ring.size, cap)
 
 
-def ring_enumerate(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> Iterator[RingElement]:
-    """All elements in index order; guarded by the size cap."""
-    check_size_cap(ring, cap)
-    for i in range(ring.size):
-        yield RingElement(ring, i)
-
-
 # ---------------------------------------------------------------------------
 # Factories
 # ---------------------------------------------------------------------------
@@ -1045,10 +1038,6 @@ def trivial_extension(q: int, m: int) -> TrivialExtensionRing:
 
 def product(*factors: Ring) -> ProductRing:
     return ProductRing(factors)
-
-
-def table_ring(add, mul, one: int, source_path: str | None = None) -> TableRing:
-    return TableRing(add, mul, one, source_path)
 
 
 def table_ring_from_json(path: str) -> TableRing:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotLocal
-from .rings import Ring, RingElement, additive_closure, check_size_cap, validate_ideal
+from .rings import Ring, additive_closure, check_size_cap, validate_ideal
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ class Ideal:
     @property
     def is_zero(self) -> bool:
         return self.members == frozenset({0})
-
-    @property
-    def is_proper(self) -> bool:
-        return len(self.members) < self.ring.size
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -102,27 +95,6 @@ def left_right_symmetry_check(ring: Ring) -> bool:
     """True iff every one-sided zero-divisor is two-sided (falsifier hook)."""
     left, right = _divisor_flags(ring)
     return left == right
-
-
-def right_annihilator(a: RingElement) -> frozenset[int]:
-    """{y : ay = 0} as an index set."""
-    return frozenset(_zero_positions(a.ring.mul_row(a.index)))
-
-
-def jacobson_radical(ring: Ring) -> Ideal:
-    """{x : 1 - ax is a unit for every a}, as a validated ideal."""
-    return structure_report(ring).radical_chain[0]
-
-
-def radical_powers(ring: Ring) -> tuple[Ideal, ...]:
-    """[J, J^2, ..., J^t = {0}], strictly decreasing."""
-    return structure_report(ring).radical_chain
-
-
-def principal_two_sided_ideal(ring: Ring, g: RingElement | int) -> Ideal:
-    """Smallest two-sided ideal containing g (additive closure of agb)."""
-    gi = g.index if isinstance(g, RingElement) else int(g)
-    return Ideal(ring, principal_ideal_members(ring, gi))
 
 
 def principal_ideal_members(ring: Ring, gi: int) -> frozenset[int]:

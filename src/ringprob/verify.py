@@ -206,10 +206,14 @@ def _proper_principal_ideals(ring: Ring) -> list[frozenset[int]]:
 
     RgR = R(gR) depends on g only through the set gR, so only the first g
     with each gR is closed; that g is also the first to give its ideal,
-    so the order is the one a closure of every g would give."""
+    so the order is the one a closure of every g would give.  A g whose
+    row has one zero has |gR| = |R| / |ann_r(g)| = |R|, so RgR = R is not
+    proper and g is skipped before any set is built."""
     first_g = {}
     for g in range(ring.size):
-        first_g.setdefault(frozenset(ring.mul_row(g)), g)
+        row = ring.mul_row(g)
+        if row.count(0) != 1:
+            first_g.setdefault(frozenset(row), g)
     ideals = (principal_ideal_members(ring, g) for g in first_g.values())
     return list(dict.fromkeys(m for m in ideals if len(m) < ring.size))
 

@@ -329,6 +329,24 @@ class TestMalformedInput:
         payload = json.loads(proc.stdout)
         assert (payload["hits"], payload["total"]) == (2 * q - 1, q * q)
 
+    def test_large_semiprime_order(self):
+        """Z_n with n = (10^9+7)(10^9+9): the order splits by Pollard's rho,
+        so a unit answers with the unit formula and 0 reaches the
+        enumeration limit at once; trial division would run to 10^9."""
+        n = (10 ** 9 + 7) * (10 ** 9 + 9)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        argv = [sys.executable, "-m", "ringprob.cli", "prob", "--ring", f"Z{n}", "--force"]
+        proc = subprocess.run([*argv, "--x", "1", "--explain"],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        units = (10 ** 9 + 6) * (10 ** 9 + 8)
+        assert (payload["method"], payload["hits"], payload["total"]) == ("unit", units, n * n)
+        proc = subprocess.run([*argv, "--x", "0"],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "above the enumeration limit" in proc.stderr
+
     def test_large_prime_square_field_is_answered(self):
         """GF(p^2) with p = 10^9+7: the order splits by an integer square
         root and the modulus is found by Rabin's test, so the closed form

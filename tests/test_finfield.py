@@ -5,22 +5,15 @@ import pytest
 from ringprob.errors import (
     DegreeOutOfRange,
     DivisionByZero,
-    MixedFields,
     NonPrime,
     ValidationError,
 )
 from ringprob.finfield import (
     FIELD_TABLE_CAP,
     _poly_divmod,
-    FieldElement,
     GaloisField,
     factor_prime_power,
-    field_add,
-    field_enumerate,
-    field_inv,
     field_make,
-    field_mul,
-    field_neg,
     galois_field,
     is_irreducible,
     is_prime,
@@ -169,65 +162,61 @@ class TestFieldMake:
 
 
 class TestArithmetic:
+    """Elements are indices; coeffs_of and index_of convert to and from
+    coefficient tuples, constant term first."""
+
     def test_gf4_t_squared(self):
-        f = field_make(2, 2)
-        t = FieldElement(f, (0, 1))
-        assert field_mul(t, t) == FieldElement(f, (1, 1))
+        gf = galois_field(field_make(2, 2))
+        t = gf.index_of((0, 1))
+        assert gf.coeffs_of(gf.mul(t, t)) == (1, 1)
 
     def test_mul_identity(self):
         for q_spec in [(2, 2), (3, 2), (2, 3)]:
-            f = field_make(*q_spec)
-            one = FieldElement(f, (1,) + (0,) * (f.r - 1))
-            for x in field_enumerate(f):
-                assert field_mul(x, one) == x
+            gf = galois_field(field_make(*q_spec))
+            one = gf.index_of((1,) + (0,) * (gf.r - 1))
+            for x in range(gf.order):
+                assert gf.mul(x, one) == x
 
     def test_char2_addition(self):
-        f = field_make(2, 1)
-        one = FieldElement(f, (1,))
-        assert field_add(one, one) == FieldElement(f, (0,))
+        gf = galois_field(field_make(2, 1))
+        one = gf.index_of((1,))
+        assert gf.add(one, one) == gf.index_of((0,))
 
     def test_neg(self):
-        f = field_make(3, 1)
-        assert field_neg(FieldElement(f, (1,))) == FieldElement(f, (2,))
+        gf = galois_field(field_make(3, 1))
+        assert gf.coeffs_of(gf.neg(gf.index_of((1,)))) == (2,)
 
-    def test_mixed_fields_rejected(self):
-        a = FieldElement(field_make(2, 1), (1,))
-        b = FieldElement(field_make(3, 1), (1,))
-        with pytest.raises(MixedFields):
-            field_add(a, b)
-        with pytest.raises(MixedFields):
-            field_mul(a, b)
-
-    def test_operator_sugar(self):
-        f = field_make(2, 2)
-        t = FieldElement(f, (0, 1))
-        one = FieldElement(f, (1, 0))
-        assert t + t == FieldElement(f, (0, 0))
-        assert t * t == t + one
-        assert -t == t
-        assert t - t == FieldElement(f, (0, 0))
+    def test_char2_identities(self):
+        gf = galois_field(field_make(2, 2))
+        t = gf.index_of((0, 1))
+        one = gf.index_of((1, 0))
+        zero = gf.index_of((0, 0))
+        assert gf.add(t, t) == zero
+        assert gf.mul(t, t) == gf.add(t, one)
+        assert gf.neg(t) == t
+        assert gf.add(t, gf.neg(t)) == zero
 
 
 class TestInverse:
     def test_gf2(self):
-        f = field_make(2, 1)
-        assert field_inv(FieldElement(f, (1,))) == FieldElement(f, (1,))
+        gf = galois_field(field_make(2, 1))
+        assert gf.coeffs_of(gf.inv(gf.index_of((1,)))) == (1,)
 
     def test_gf4_inv_t(self):
-        f = field_make(2, 2)
-        t = FieldElement(f, (0, 1))
-        assert field_inv(t) == FieldElement(f, (1, 1))
-        assert field_mul(t, field_inv(t)) == FieldElement(f, (1, 0))
+        gf = galois_field(field_make(2, 2))
+        t = gf.index_of((0, 1))
+        assert gf.coeffs_of(gf.inv(t)) == (1, 1)
+        assert gf.coeffs_of(gf.mul(t, gf.inv(t))) == (1, 0)
 
     def test_gf3_self_inverse(self):
-        f = field_make(3, 1)
-        two = FieldElement(f, (2,))
-        assert field_inv(two) == two
+        gf = galois_field(field_make(3, 1))
+        two = gf.index_of((2,))
+        assert gf.inv(two) == two
 
     def test_zero_rejected(self):
-        f = field_make(2, 2)
+        gf = galois_field(field_make(2, 2))
         with pytest.raises(DivisionByZero):
-            field_inv(FieldElement(f, (0, 0)))
+            gf.inv(gf.index_of((0, 0)))
 
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (5, 1), (7, 1), (3, 3),
                                      (2, 8), (5, 3)])
@@ -239,26 +228,30 @@ class TestInverse:
             assert gf.inv(x) == by_scan
 
 
+def field_elements(p, r):
+    """Coefficient tuples of GF(p^r) in canonical index order."""
+    gf = galois_field(field_make(p, r))
+    return [gf.coeffs_of(i) for i in range(gf.order)]
+
+
 class TestEnumeration:
     def test_gf2_order(self):
-        elems = field_enumerate(field_make(2, 1))
-        assert [e.coeffs for e in elems] == [(0,), (1,)]
+        assert field_elements(2, 1) == [(0,), (1,)]
 
     def test_gf3_order(self):
-        elems = field_enumerate(field_make(3, 1))
-        assert [e.coeffs for e in elems] == [(0,), (1,), (2,)]
+        assert field_elements(3, 1) == [(0,), (1,), (2,)]
 
     def test_gf4_zero_then_one(self):
-        elems = field_enumerate(field_make(2, 2))
+        elems = field_elements(2, 2)
         assert len(elems) == 4
-        assert elems[0].coeffs == (0, 0)
-        assert elems[1].coeffs == (1, 0)
+        assert elems[0] == (0, 0)
+        assert elems[1] == (1, 0)
 
     def test_index_round_trip(self):
         for p, r in [(2, 2), (3, 2), (2, 4)]:
             gf = galois_field(field_make(p, r))
             for i in range(gf.order):
-                assert gf.element(i).index == i
+                assert gf.index_of(gf.coeffs_of(i)) == i
 
 
 class TestGroupLaws:
@@ -277,8 +270,7 @@ class TestGroupLaws:
 
     def test_additive_group_order(self):
         for p, r in [(2, 3), (3, 2)]:
-            f = field_make(p, r)
-            assert len(field_enumerate(f)) == p ** r
+            assert len(field_elements(p, r)) == p ** r
 
 
 class TestLazyTables:

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from ringprob.cli import main
 from ringprob.closedform import prob_formula, prob_matrix_formula, MatrixClass
 from ringprob.corpus import default_corpus, fixture_path
-from ringprob.errors import FormulaUnavailable
+from ringprob.errors import FormulaUnavailable, ValidationError
 from ringprob.finfield import GaloisField
 from ringprob.probability import ProbFraction, prob_brute
-from ringprob.recipe import invariants, matrix_rank
+from ringprob.recipe import _factorize, invariants, matrix_rank
 from ringprob.rings import (
     DEFAULT_SIZE_CAP,
     MatrixRing,
@@ -79,6 +79,45 @@ class TestRecipeMatchesStructure:
             ring = build(spec)
             with pytest.raises(ValueError):
                 invariants(ring).radical_layer(0)
+
+
+def factorize_by_trial_division(n):
+    """Oracle: divide by every p with p^2 <= n in turn."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactorize:
+    def test_matches_trial_division(self):
+        for n in range(2, 20001):
+            factors = _factorize(n)
+            assert factors == factorize_by_trial_division(n), n
+            assert list(factors) == sorted(factors)
+
+    @pytest.mark.parametrize("n, factors", [
+        ((10 ** 9 + 7) * (10 ** 9 + 9), {10 ** 9 + 7: 1, 10 ** 9 + 9: 1}),
+        (3 * (10 ** 9 + 7) ** 2, {3: 1, 10 ** 9 + 7: 2}),
+        (1009 * 1013, {1009: 1, 1013: 1}),
+        (1009 ** 3 * 1013, {1009: 3, 1013: 1}),
+        (997 * 1009, {997: 1, 1009: 1}),
+    ])
+    def test_cofactors_past_trial_division(self, n, factors):
+        """Factors above the trial-division range are split by Pollard's
+        rho; trial division alone would take up to 10^9 steps."""
+        assert _factorize(n) == factors
+        assert list(_factorize(n)) == sorted(factors)
+
+    def test_composite_above_primality_bound_is_refused(self):
+        # a 92-bit composite left after trial division: refused, not guessed
+        with pytest.raises(ValidationError, match="cannot factor a 92-bit number"):
+            _factorize((2 ** 31 - 1) * (2 ** 61 - 1))
 
 
 class TestMatrixRank:

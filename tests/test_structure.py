@@ -25,12 +25,8 @@ from ringprob.structure import (
     _radical_members,
     additive_closure,
     ideal_size_power_check,
-    jacobson_radical,
     left_right_symmetry_check,
     principal_ideal_members,
-    principal_two_sided_ideal,
-    radical_powers,
-    right_annihilator,
     structure_report,
     unit_plus_radical_check,
     units,
@@ -154,18 +150,23 @@ class TestZeroDivisors:
             assert not (u & z)
 
 
+def right_ann(ring, a):
+    """ann_r(a) = {y : ay = 0}: the zero positions of a's mul row."""
+    return {y for y, v in enumerate(ring.mul_row(a)) if v == 0}
+
+
 class TestAnnihilators:
     def test_zmod4(self):
-        assert right_annihilator(zmod(4).element(2)) == {0, 2}
+        assert right_ann(zmod(4), 2) == {0, 2}
 
     def test_zero_annihilates_everything(self):
         for ring in (zmod(6), matrix_ring(2, 2)):
-            assert right_annihilator(ring.element(0)) == frozenset(range(ring.size))
+            assert right_ann(ring, 0) == set(range(ring.size))
 
     def test_unit_annihilator_trivial(self):
         for _, ring in default_corpus():
             for u in sorted(units(ring))[:3]:
-                assert right_annihilator(ring.element(u)) == {0}
+                assert right_ann(ring, u) == {0}
 
     def test_annihilator_size_divides_ring_order(self):
         for _, ring in default_corpus():
@@ -196,39 +197,40 @@ class TestSymmetry:
 
 class TestRadical:
     def test_zmod12(self):
-        assert jacobson_radical(zmod(12)).members == {0, 6}
+        assert structure_report(zmod(12)).radical.members == {0, 6}
 
     def test_matrix_rings_semisimple(self):
         for k, q in [(1, 2), (2, 2), (2, 3)]:
-            assert jacobson_radical(matrix_ring(k, q)).members == {0}
+            assert structure_report(matrix_ring(k, q)).radical.members == {0}
 
     def test_chain23(self):
         ring = chain_ring(2, 3)
-        j = jacobson_radical(ring)
+        j = structure_report(ring).radical
         forms = {ring.decode(i) for i in j.members}
         assert forms == {(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)}
 
     def test_powers_zmod8(self):
-        chain = radical_powers(zmod(8))
-        assert [i.sorted_members() for i in chain] == [[0, 2, 4, 6], [0, 4], [0]]
+        chain = structure_report(zmod(8)).radical_chain
+        assert [sorted(i.members) for i in chain] == [[0, 2, 4, 6], [0, 4], [0]]
 
     def test_powers_trivial_extension(self):
-        chain = radical_powers(trivial_extension(2, 2))
+        chain = structure_report(trivial_extension(2, 2)).radical_chain
         assert [i.size for i in chain] == [4, 1]
 
     def test_powers_field(self):
-        assert [i.sorted_members() for i in radical_powers(field_ring(4))] == [[0]]
+        chain = structure_report(field_ring(4)).radical_chain
+        assert [sorted(i.members) for i in chain] == [[0]]
 
     def test_matches_nilradical_on_commutative_corpus(self):
         for _, ring in default_corpus():
             if ring.is_commutative():
-                assert jacobson_radical(ring).members == nilradical(ring)
+                assert structure_report(ring).radical.members == nilradical(ring)
 
     def test_radical_of_residue_ring_is_zero(self):
         for _, ring in default_corpus():
-            j = jacobson_radical(ring)
+            j = structure_report(ring).radical
             residue = quotient_make(ring, j.members)
-            assert jacobson_radical(residue).members == {0}
+            assert structure_report(residue).radical.members == {0}
 
     @pytest.mark.parametrize("spec", [name for name, _ in default_corpus()]
                              + RADICAL_EXTRA_SPECS)
@@ -245,7 +247,7 @@ class TestRadical:
 
     def test_chain_strictly_decreases(self):
         for _, ring in default_corpus():
-            sizes = [i.size for i in radical_powers(ring)]
+            sizes = [i.size for i in structure_report(ring).radical_chain]
             assert sizes == sorted(sizes, reverse=True)
             assert len(set(sizes)) == len(sizes)
 
@@ -351,27 +353,32 @@ class TestUnitPlusRadical:
             assert unit_plus_radical_check(ring)
 
 
+def principal_ideal(ring, g):
+    """RgR as a validated Ideal."""
+    return Ideal(ring, principal_ideal_members(ring, g))
+
+
 class TestPrincipalIdeals:
     def test_zmod12(self):
-        assert principal_two_sided_ideal(zmod(12), 4).members == {0, 4, 8}
+        assert principal_ideal(zmod(12), 4).members == {0, 4, 8}
 
     def test_simple_ring_has_no_proper_nonzero(self):
         m2 = matrix_ring(2, 2)
         for g in range(1, 16):
-            assert principal_two_sided_ideal(m2, g).size == 16
+            assert principal_ideal(m2, g).size == 16
 
     def test_zero_generates_zero(self):
         for ring in (zmod(9), matrix_ring(2, 2)):
-            assert principal_two_sided_ideal(ring, 0).members == {0}
+            assert principal_ideal(ring, 0).members == {0}
 
     def test_noncommutative_two_sidedness(self):
         # Upper-triangular ring, elements (a, b, c) packed as a*4 + b*2 + c.
         _, table = [m for m in default_corpus() if m[0].startswith("table:")][0]
-        strictly_upper = principal_two_sided_ideal(table, 2)   # [[0,1],[0,0]]
+        strictly_upper = principal_ideal(table, 2)   # [[0,1],[0,0]]
         assert strictly_upper.members == {0, 2}
-        corner = principal_two_sided_ideal(table, 4)           # [[1,0],[0,0]]
+        corner = principal_ideal(table, 4)           # [[1,0],[0,0]]
         assert corner.members == {0, 2, 4, 6}                  # absorbs E12 too
-        assert corner.is_proper
+        assert corner.size < table.size
 
 
 class TestIdealValidation:
@@ -388,8 +395,9 @@ class TestIdealValidation:
             Ideal(m2, frozenset({0, e11}))
 
     def test_accepts_radical(self):
-        ideal = Ideal(zmod(12), frozenset({0, 6}))
-        assert ideal.is_proper and not ideal.is_zero
+        ring = zmod(12)
+        ideal = Ideal(ring, frozenset({0, 6}))
+        assert ideal.size < ring.size and not ideal.is_zero
 
 
 def validate_ideal_all_pairs(ring, members):

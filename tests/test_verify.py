@@ -239,10 +239,12 @@ class TestSharedWork:
         monkeypatch.setattr(verify, "principal_ideal_members",
                             lambda r, g: closures.append(g) or principal_ideal_members(r, g))
         assert verify._proper_principal_ideals(ring) == every_g_ideals(ring)
-        # one closure per distinct right ideal gR, each at its first g
+        # one closure per distinct right ideal gR != R, each at its first g;
+        # a g with gR = R (one zero in its row) generates R, never proper
         first = {}
         for g in range(ring.size):
-            first.setdefault(frozenset(ring.mul_row(g)), g)
+            if len(set(ring.mul_row(g))) < ring.size:
+                first.setdefault(frozenset(ring.mul_row(g)), g)
         assert closures == list(first.values())
 
     def test_targets_are_the_corpus_instances(self, tmp_path, monkeypatch):
