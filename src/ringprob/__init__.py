@@ -30,7 +30,6 @@ from .corpus import default_corpus
 from .errors import (
     BadDimensionOrder,
     DegreeOutOfRange,
-    DivisionByZero,
     EnumerationLimitExceeded,
     FormulaUnavailable,
     ImproperIdeal,

@@ -43,7 +43,8 @@ def _scaled_hits(value: ProbFraction, size: int) -> int:
 
 
 def cmd_prob(args) -> int:
-    ring = parse_ring_spec(args.ring, _cap(args))
+    # a closed form enumerates nothing: only the spec's order limit applies
+    ring = parse_ring_spec(args.ring, None if args.method == "formula" else _cap(args))
     x = parse_element(ring, args.x)
     method = args.method
     formula_tag = None

@@ -1,7 +1,7 @@
 """The built-in ring corpus the verification suites run over.
 
-Construction is cached per spec string so repeated suite runs share the
-memoized operation tables.
+The default corpus is built once per process, so repeated suite runs
+share its rings' memoized operation tables.
 """
 
 from __future__ import annotations
@@ -54,15 +54,9 @@ def upper_triangular_tables() -> dict:
 
 
 @lru_cache(maxsize=None)
-def ring_from_spec(text: str) -> Ring:
-    """Cached ring construction; only use for path-free specs."""
-    return parse_ring_spec(text)
-
-
-@lru_cache(maxsize=None)
 def default_corpus() -> tuple[tuple[str, Ring], ...]:
     """(label, ring) pairs in fixed order; every member is pre-audited."""
-    members = [(spec, ring_from_spec(spec)) for spec in _CORPUS_SPECS]
+    members = [(spec, parse_ring_spec(spec)) for spec in _CORPUS_SPECS]
     members.append((TABLE_LABEL, parse_ring_spec(f"table:{fixture_path()}")))
     return tuple(members)
 

@@ -21,10 +21,6 @@ class MixedRings(ValidationError):
     """Operands belong to different rings."""
 
 
-class DivisionByZero(RingProbError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
 class SizeCapExceeded(RingProbError):
     """Ring is larger than the enumeration size cap."""
 

@@ -1,9 +1,11 @@
-"""Exact arithmetic in GF(p^r).
+"""Primes, prime powers and the canonical modulus of GF(p^r).
 
-Elements are residue-coefficient vectors (constant term first) modulo a
-canonical monic irreducible.  Every element also has a canonical index:
-the base-p value of its coefficient vector with the constant term as the
-least significant digit, so index 0 is zero and index 1 is one.
+GF(p^r) is Z_p[t]/(f) for f the lexicographically smallest monic
+irreducible of degree r over Z_p (see smallest_irreducible); rings.field_ring
+builds it as that polynomial quotient, so field arithmetic is the
+quotient's.  This module supplies the number theory: exact primality,
+prime-power splitting, polynomial arithmetic over Z_p with Rabin's
+irreducibility test, and the FieldDescriptor (p, r, f).
 """
 
 from __future__ import annotations
@@ -11,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegreeOutOfRange, DivisionByZero, NonPrime, ValidationError
+from .errors import DegreeOutOfRange, NonPrime, ValidationError
 
 MAX_EXTENSION_DEGREE = 8
-
-# Above this order, index-level add/mul tables are never built and
-# operations fall back to per-call polynomial arithmetic.
-FIELD_TABLE_CAP = 512
 
 
 # No composite below _MR_BOUND is a strong pseudoprime to all of these
@@ -228,131 +226,7 @@ def field_make(p: int, r: int) -> FieldDescriptor:
     return FieldDescriptor(p, r, smallest_irreducible(p, r))
 
 
-class GaloisField:
-    """Index-level arithmetic engine for one FieldDescriptor.
-
-    Indices are base-p encodings of coefficient vectors (constant term
-    least significant).  add, mul and neg are the only code that chooses
-    how to compute: for orders up to FIELD_TABLE_CAP full add/mul tables
-    are built on the first of them, larger fields compute per call.
-    Callers such as matrix products and ranks go through these three.
-    """
-
-    def __init__(self, descriptor: FieldDescriptor):
-        self.descriptor = descriptor
-        self.p = descriptor.p
-        self.r = descriptor.r
-        self.order = descriptor.order
-        self._mod_tail = descriptor.modulus[:-1]
-        self.add_table: list[tuple[int, ...]] | None = None
-        self.mul_table: list[tuple[int, ...]] | None = None
-        self.neg_table: tuple[int, ...] | None = None
-
-    # -- coefficient/index codecs ------------------------------------------
-
-    def coeffs_of(self, i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.r):
-            out.append(i % self.p)
-            i //= self.p
-        return tuple(out)
-
-    def index_of(self, coeffs) -> int:
-        i = 0
-        for c in reversed(tuple(coeffs)):
-            i = i * self.p + c
-        return i
-
-    # -- raw polynomial ops -------------------------------------------------
-
-    def _add_raw(self, i: int, j: int) -> int:
-        if self.r == 1:
-            return (i + j) % self.p
-        a, b = self.coeffs_of(i), self.coeffs_of(j)
-        return self.index_of((x + y) % self.p for x, y in zip(a, b))
-
-    def _neg_raw(self, i: int) -> int:
-        if self.r == 1:
-            return (-i) % self.p
-        return self.index_of((-c) % self.p for c in self.coeffs_of(i))
-
-    def _mul_raw(self, i: int, j: int) -> int:
-        p, r = self.p, self.r
-        if r == 1:
-            return (i * j) % p
-        a, b = self.coeffs_of(i), self.coeffs_of(j)
-        prod = [0] * (2 * r - 1)
-        for s, ai in enumerate(a):
-            if ai:
-                for t, bj in enumerate(b):
-                    prod[s + t] = (prod[s + t] + ai * bj) % p
-        # reduce by the monic modulus: t^r = -(tail)
-        for s in range(2 * r - 2, r - 1, -1):
-            c = prod[s]
-            if c:
-                prod[s] = 0
-                for t, m in enumerate(self._mod_tail):
-                    prod[s - r + t] = (prod[s - r + t] - c * m) % p
-        return self.index_of(prod[:r])
-
-    def tables(self):
-        """(add, mul, neg) tables, built on first use; None above
-        FIELD_TABLE_CAP.  The mul table is assigned last, so a field whose
-        mul table is set has all three."""
-        if self.mul_table is None:
-            if self.order > FIELD_TABLE_CAP:
-                return None
-            n = self.order
-            self.add_table = [tuple(self._add_raw(i, j) for j in range(n)) for i in range(n)]
-            self.neg_table = tuple(self._neg_raw(i) for i in range(n))
-            self.mul_table = [tuple(self._mul_raw(i, j) for j in range(n)) for i in range(n)]
-        return self.add_table, self.mul_table, self.neg_table
-
-    # -- public index-level ops ----------------------------------------------
-
-    def add(self, i: int, j: int) -> int:
-        table = self.add_table
-        if table is None:
-            if self.tables() is None:
-                return self._add_raw(i, j)
-            table = self.add_table
-        return table[i][j]
-
-    def neg(self, i: int) -> int:
-        table = self.neg_table
-        if table is None:
-            if self.tables() is None:
-                return self._neg_raw(i)
-            table = self.neg_table
-        return table[i]
-
-    def mul(self, i: int, j: int) -> int:
-        table = self.mul_table
-        if table is None:
-            if self.tables() is None:
-                return self._mul_raw(i, j)
-            table = self.mul_table
-        return table[i][j]
-
-    def inv(self, i: int) -> int:
-        """Multiplicative inverse i^(q-2)."""
-        if i == 0:
-            raise DivisionByZero("inverse of zero")
-        return self.pow(i, self.order - 2)
-
-    def pow(self, i: int, e: int) -> int:
-        """i^e for e >= 0, raised modulo the field's modulus by
-        _poly_powmod, so no table is built."""
-        coeffs = _poly_trim(list(self.coeffs_of(i)))
-        return self.index_of(_poly_powmod(coeffs, e, self.descriptor.modulus, self.p))
-
-
-@lru_cache(maxsize=None)
-def galois_field(descriptor: FieldDescriptor) -> GaloisField:
-    return GaloisField(descriptor)
-
-
-def galois_field_of_order(q: int) -> GaloisField:
-    """GF(q) for a prime power q, factored internally."""
+def galois_field_of_order(q: int) -> FieldDescriptor:
+    """The descriptor of GF(q) for a prime power q, factored internally."""
     p, r = factor_prime_power(q)
-    return galois_field(field_make(p, r))
+    return field_make(p, r)

@@ -85,8 +85,10 @@ def _index_of(ring: Ring, x: RingElement | int) -> int:
 
 
 def delta(a: RingElement, x: RingElement) -> int:
-    """1 if some b solves ab = x, else 0 (scan over the full row)."""
+    """1 if some b solves ab = x, else 0 (scan over the full row, so a
+    ring above rings.ENUMERATION_LIMIT is refused)."""
     ring = a.ring
+    check_size_cap(ring, cap=None)
     xi = _index_of(ring, x)
     return 1 if xi in ring.mul_row(a.index) else 0
 

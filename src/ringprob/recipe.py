@@ -8,11 +8,12 @@ grammar construction knows these from its recipe, so `invariants(ring)`
 answers them without building a table or enumerating anything:
 
   Z_n          by factorization; unit iff gcd(x, n) = 1, layer v_p(x)
-  GF(q)        the field: local, n = 1, t = 1
   M_k(GF q)    unit iff rank k; semisimple (t = 1), local iff k = 1
-  chain(q, m)  GF(q)[t]/(t^m): layer is the t-adic valuation, t = n = m
+  chain(q, m)  F[t]/(t^m) over a field F of order q (a base that is local
+               with n = 1): layer is the t-adic valuation, t = n = m
   GR(p, k, r)  Z_{p^k}[t]/(f): layer is the least p-adic valuation of a
-               coefficient, q = p^r, t = n = k
+               coefficient, q = p^r, t = n = k; GF(p^r) = GR(p, 1, r)
+               has n = t = 1
   triv(q, m)   square-zero radical: t = 2, n = m + 1
   products     combined from their factors (never local)
 
@@ -29,7 +30,6 @@ from typing import Callable
 from .errors import NonPrime, ValidationError
 from .finfield import _MR_BOUND, factor_prime_power, is_irreducible, is_prime
 from .rings import (
-    FieldRing,
     MatrixRing,
     PolyQuotientRing,
     ProductRing,
@@ -37,6 +37,7 @@ from .rings import (
     RingElement,
     TrivialExtensionRing,
     ZModRing,
+    entry_ops,
 )
 from .structure import structure_report
 
@@ -115,12 +116,12 @@ def matrix_rank(x: RingElement) -> int:
     pivot, f the entry of v there), which keep v in the span iff it was
     and need no inverse; a column left nonzero joins the basis at its
     first nonzero entry.  Entries are integers mod q over a prime field,
-    else field indices combined by the field's own add, mul and neg."""
+    else field indices combined by rings.entry_ops."""
     ring = x.ring
     if not isinstance(ring, MatrixRing):
         raise ValidationError("matrix_rank needs an element of a matrix ring")
-    k, q, gf = ring.k, ring.q, ring.field
-    add, mul, neg = gf.add, gf.mul, gf.neg
+    k, q, prime = ring.k, ring.q, ring.field._cyclic
+    add, mul, neg = entry_ops(ring, ring.field)
     entries = ring._entries(x.index)
     basis = []              # (pivot position, pivot value, vector)
     for c in range(0, k * k, k):
@@ -129,7 +130,7 @@ def matrix_rank(x: RingElement) -> int:
             f = v[pos]
             if not f:
                 continue
-            if gf.r == 1:
+            if prime:
                 v = [(a * s - f * t) % q for s, t in zip(v, b)]
             else:
                 nf = neg(f)
@@ -199,7 +200,7 @@ def _zmod(n: int) -> Invariants:
 
 def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
     base, d, modulus = ring.base, ring.degree, ring.modulus
-    if isinstance(base, FieldRing) and not any(modulus[:-1]):
+    if not any(modulus[:-1]) and _is_field(base):
         # chain(q, d) = GF(q)[t]/(t^d): x is a unit iff its constant term is
         # nonzero, and its layer is the number of leading zero coefficients
         q = base.size
@@ -213,6 +214,9 @@ def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
         return None
     if not is_irreducible(tuple(c % p for c in modulus), p):
         return None
+    if k == 1:
+        # GF(p^d) = GR(p, 1, d) is a field: every nonzero x is a unit
+        return _local(p ** d - 1, p ** d, 1, 1, bool, _semisimple_layer)
     # GR(p, k, d): J = pR, so the layer of x is the least p-adic valuation
     # of its coefficients (the base-p^k digits of its index), and x is a
     # unit iff that is 0.  content(x) = p^layer, the gcd of p^k and them.
@@ -227,6 +231,12 @@ def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
 
     return _local(s ** d - p ** ((k - 1) * d), p ** d, k, k,
                   lambda i: content(i) == 1, lambda i: _valuation(content(i) if i else 0, p))
+
+
+def _is_field(ring: Ring) -> bool:
+    """A local ring with |R| = q^1 has J = 0, so it is its residue field."""
+    inv = invariants(ring)
+    return inv.is_local and inv.n == 1
 
 
 def _product(ring: ProductRing) -> Invariants:
@@ -258,8 +268,6 @@ def _trivial_extension(q: int, m: int) -> Invariants:
 def _from_recipe(ring: Ring) -> Invariants | None:
     if isinstance(ring, ZModRing):
         return _zmod(ring.n)
-    if isinstance(ring, FieldRing):
-        return _local(ring.size - 1, ring.size, 1, 1, bool, _semisimple_layer)
     if isinstance(ring, MatrixRing):
         k, q = ring.k, ring.q
         units = prod(q ** k - q ** i for i in range(k))

@@ -23,15 +23,14 @@ it.
 
 Radices per construction, slowest digit first (q = p^r):
   ZMod(n)              (n,)             index = residue
-  Field(GF(q))         (p,)*r           coefficient vector, constant term
-                                        least significant
+  PolyQuotient         base radices * degree
+                                        coefficient vector of base indices,
+                                        constant term least significant;
+                                        GF(q) = Z_p[t]/(f) has (p,)*r
   Matrix(k, GF(q))     (p,)*(r*k*k)     columns packed left to right, most
                                         significant first; within a column
                                         the top entry is most significant;
                                         each entry is a field index
-  PolyQuotient         base radices * degree
-                                        coefficient vector of base indices,
-                                        constant term least significant
   TrivialExtension     (p,)*(r*(m+1))   (a, u_1..u_m), a most significant,
                                         u_m fastest; each a field index
   Product              the factors' radices joined, first factor slowest
@@ -46,7 +45,7 @@ import json
 from array import array
 from functools import reduce
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EnumerationLimitExceeded,
@@ -56,14 +55,7 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .finfield import (
-    FieldDescriptor,
-    factor_prime_power,
-    field_make,
-    galois_field,
-    is_irreducible,
-    is_prime,
-)
+from .finfield import factor_prime_power, field_make, is_irreducible, is_prime
 
 # Rings up to this size get full |R| x |R| operation tables on first use,
 # and the enumeration engines refuse larger ones unless given cap=None.
@@ -413,57 +405,37 @@ class ZModRing(Ring):
         return str(i)
 
 
-class FieldRing(Ring):
-    """GF(p^r) viewed as a ring; delegates to the field's index engine."""
-
-    def __init__(self, descriptor: FieldDescriptor):
-        self.descriptor = descriptor
-        self.field = galois_field(descriptor)
-        self.size = self.field.order
-        self.one_index = 1
-        self.summands = (descriptor.p,) * descriptor.r
-        self._init_tables()
-        self._commutative = True
-
-    def _mul(self, i, j):
-        return self.field._mul_raw(i, j)
-
-    def decode(self, i):
-        return self.field.coeffs_of(i)
-
-    def encode(self, form):
-        return self.field.index_of(form)
-
-    def describe(self):
-        return f"GF{self.size}"
-
-    def key(self):
-        return ("gf", self.descriptor.p, self.descriptor.r, self.descriptor.modulus)
-
-    def format_element(self, i):
-        return ",".join(str(c) for c in self.field.coeffs_of(i))
+def entry_ops(ring: Ring, inner: Ring) -> tuple[Callable, Callable, Callable]:
+    """Index-level (add, mul, neg) of inner, the ring of the entries or
+    coefficients of ring's elements (a matrix ring's field, a quotient's
+    base).  While ring is within DEFAULT_SIZE_CAP they read inner's tables
+    (for a field under M_k, k >= 2, or triv, q <= 64 then); above it they
+    compute per call, so a closed form on M2(GF3721) or M2(GF(4093^2))
+    builds no table of the field or of Z_4093."""
+    if ring.size <= DEFAULT_SIZE_CAP:
+        return inner.add_index, inner.mul_index, inner.neg_index
+    return inner._add, inner._mul, inner._neg
 
 
-def _entry_literal(gf, e: int) -> str:
-    """Literal of a field entry inside a matrix or trivial-extension
-    element: its coefficients, parenthesised over an extension field."""
-    text = ",".join(str(c) for c in gf.coeffs_of(e))
-    return f"({text})" if gf.r > 1 else text
+def _wrap_entry(text: str) -> str:
+    """An entry's literal inside a composite literal: parenthesised when it
+    is itself a coefficient list."""
+    return f"({text})" if "," in text else text
 
 
 class MatrixRing(Ring):
-    """k-by-k matrices over GF(q); forms are row tuples of field indices."""
+    """k-by-k matrices over a field ring (field_ring(q)); forms are row
+    tuples of field indices."""
 
-    def __init__(self, k: int, descriptor: FieldDescriptor):
+    def __init__(self, k: int, field: Ring):
         if k < 1:
             raise ValidationError(f"matrix dimension must be >= 1, got {k}")
         self.k = k
-        self.descriptor = descriptor
-        self.field = galois_field(descriptor)
-        self.q = self.field.order
+        self.field = field
+        self.q = field.size
         self.size = self.q ** (k * k)
         self.one_index = self._encode_identity()
-        self.summands = (descriptor.p,) * (descriptor.r * k * k)
+        self.summands = field.summands * (k * k)
         self._init_tables()
         self._commutative = (k == 1)
 
@@ -501,12 +473,12 @@ class MatrixRing(Ring):
     def _mul(self, i, j):
         """Entry (r, c) of the product is row r of i dotted with column c of
         j: integers mod q over a prime field, else field indices combined
-        by the field's own add and mul."""
-        k, q, gf = self.k, self.q, self.field
+        by entry_ops."""
+        k, q = self.k, self.q
         a, b = self._entries(i), self._entries(j)
         rows = [a[r::k] for r in range(k)]
-        prime = gf.r == 1
-        add, mul = gf.add, gf.mul
+        prime = self.field._cyclic
+        add, mul, _ = entry_ops(self, self.field)
         out = 0
         for c in range(0, k * k, k):
             col = b[c:c + k]
@@ -522,11 +494,11 @@ class MatrixRing(Ring):
         return f"M{self.k}(GF{self.q})"
 
     def key(self):
-        return ("matrix", self.k, self.descriptor.p, self.descriptor.r,
-                self.descriptor.modulus)
+        return ("matrix", self.k, self.field.key())
 
     def format_element(self, i):
-        rows = ("[" + ",".join(_entry_literal(self.field, e) for e in row) + "]"
+        fmt = self.field.format_element
+        rows = ("[" + ",".join(_wrap_entry(fmt(e)) for e in row) + "]"
                 for row in self.decode(i))
         return "[" + ",".join(rows) + "]"
 
@@ -535,8 +507,9 @@ class PolyQuotientRing(Ring):
     """base[t]/(modulus) for a commutative base and monic modulus.
 
     Forms are coefficient vectors of base-ring element indices, constant
-    term first.  Covers chain rings GF(q)[t]/(t^m) and Galois rings
-    Z_{p^k}[t]/(f) with f irreducible mod p.
+    term first.  Covers the fields GF(p^r) = Z_p[t]/(f), chain rings
+    GF(q)[t]/(t^m) and Galois rings Z_{p^k}[t]/(f) with f irreducible
+    mod p, of which the fields are the case k = 1.
     """
 
     def __init__(self, base: Ring, modulus: Sequence[int], label: str | None = None):
@@ -575,7 +548,7 @@ class PolyQuotientRing(Ring):
         return idx
 
     def _mul(self, i, j):
-        base = self.base
+        add, mul, neg = entry_ops(self, self.base)
         d = self.degree
         a, b = self.decode(i), self.decode(j)
         prod = [0] * (2 * d - 1) if d > 1 else [0]
@@ -583,7 +556,7 @@ class PolyQuotientRing(Ring):
             if ai:
                 for t, bj in enumerate(b):
                     if bj:
-                        prod[s + t] = base.add_index(prod[s + t], base.mul_index(ai, bj))
+                        prod[s + t] = add(prod[s + t], mul(ai, bj))
         for s in range(2 * d - 2, d - 1, -1):
             c = prod[s]
             if c:
@@ -591,8 +564,7 @@ class PolyQuotientRing(Ring):
                 for t in range(d):
                     m = self.modulus[t]
                     if m:
-                        prod[s - d + t] = base.add_index(
-                            prod[s - d + t], base.neg_index(base.mul_index(c, m)))
+                        prod[s - d + t] = add(prod[s - d + t], neg(mul(c, m)))
         return self.encode(prod[:d])
 
     def describe(self):
@@ -604,26 +576,22 @@ class PolyQuotientRing(Ring):
         return ("polyquot", self.base.key(), self.modulus)
 
     def format_element(self, i):
-        parts = []
-        for c in self.decode(i):
-            text = self.base.format_element(c)
-            parts.append(f"({text})" if "," in text else text)
-        return ",".join(parts)
+        return ",".join(_wrap_entry(self.base.format_element(c)) for c in self.decode(i))
 
 
 class TrivialExtensionRing(Ring):
-    """GF(q) plus a q^m square-zero part: (a,u)(b,v) = (ab, av + bu)."""
+    """GF(q) plus a q^m square-zero part: (a,u)(b,v) = (ab, av + bu), over
+    a field ring (field_ring(q))."""
 
-    def __init__(self, descriptor: FieldDescriptor, m: int):
+    def __init__(self, field: Ring, m: int):
         if m < 1:
             raise ValidationError(f"extension rank must be >= 1, got {m}")
-        self.descriptor = descriptor
-        self.field = galois_field(descriptor)
-        self.q = self.field.order
+        self.field = field
+        self.q = field.size
         self.m = m
         self.size = self.q ** (m + 1)
         self.one_index = self.q ** m          # (1, 0, ..., 0)
-        self.summands = (descriptor.p,) * (descriptor.r * (m + 1))
+        self.summands = field.summands * (m + 1)
         self._init_tables()
         self._commutative = True
 
@@ -643,21 +611,21 @@ class TrivialExtensionRing(Ring):
         return idx
 
     def _mul(self, i, j):
-        gf = self.field
+        add, mul, _ = entry_ops(self, self.field)
         (a, u), (b, v) = self.decode(i), self.decode(j)
-        w = tuple(gf.add(gf.mul(a, y), gf.mul(b, x)) for x, y in zip(u, v))
-        return self.encode((gf.mul(a, b), w))
+        w = tuple(add(mul(a, y), mul(b, x)) for x, y in zip(u, v))
+        return self.encode((mul(a, b), w))
 
     def describe(self):
         return f"triv({self.q},{self.m})"
 
     def key(self):
-        return ("triv", self.descriptor.p, self.descriptor.r,
-                self.descriptor.modulus, self.m)
+        return ("triv", self.field.key(), self.m)
 
     def format_element(self, i):
         a, u = self.decode(i)
-        return "(" + ",".join(_entry_literal(self.field, e) for e in (a, *u)) + ")"
+        fmt = self.field.format_element
+        return "(" + ",".join(_wrap_entry(fmt(e)) for e in (a, *u)) + ")"
 
 
 class ProductRing(Ring):
@@ -992,14 +960,16 @@ def zmod(n: int) -> ZModRing:
     return ZModRing(n)
 
 
-def field_ring(q: int) -> FieldRing:
+def field_ring(q: int) -> PolyQuotientRing:
+    """GF(q) = Z_p[t]/(f) for q = p^r and f the canonical irreducible of
+    degree r, which makes it GR(p, 1, r); GF(p) is Z_p[t]/(t), whose index
+    is the residue."""
     p, r = factor_prime_power(q)
-    return FieldRing(field_make(p, r))
+    return PolyQuotientRing(zmod(p), field_make(p, r).modulus, label=f"GF{q}")
 
 
 def matrix_ring(k: int, q: int) -> MatrixRing:
-    p, r = factor_prime_power(q)
-    return MatrixRing(k, field_make(p, r))
+    return MatrixRing(k, field_ring(q))
 
 
 def chain_ring(q: int, m: int) -> PolyQuotientRing:
@@ -1032,8 +1002,7 @@ def galois_ring(p: int, k: int, r: int, modulus: Sequence[int] | None = None) ->
 
 
 def trivial_extension(q: int, m: int) -> TrivialExtensionRing:
-    p, r = factor_prime_power(q)
-    return TrivialExtensionRing(field_make(p, r), m)
+    return TrivialExtensionRing(field_ring(q), m)
 
 
 def product(*factors: Ring) -> ProductRing:

@@ -18,7 +18,6 @@ import re
 
 from .errors import ParseError, SizeCapExceeded, ValidationError
 from .rings import (
-    FieldRing,
     MatrixRing,
     PolyQuotientRing,
     ProductRing,
@@ -197,21 +196,24 @@ def _split_top(text: str, pos: int = 0) -> list[str]:
     return parts
 
 
+def _encloses(text: str) -> bool:
+    """Whether text is one parenthesised group: '(' closed at its end."""
+    if len(text) < 2 or text[0] != "(" or text[-1] != ")":
+        return False
+    depth = 0
+    for off, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                return off == len(text) - 1
+    return False
+
+
 def _strip_parens(text: str) -> str:
     text = text.strip()
-    while len(text) >= 2 and text[0] == "(" and text[-1] == ")":
-        depth = 0
-        closes_at_end = True
-        for off, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and off != len(text) - 1:
-                    closes_at_end = False
-                    break
-        if not closes_at_end:
-            break
+    while _encloses(text):
         text = text[1:-1].strip()
     return text
 
@@ -221,23 +223,6 @@ def _parse_int(text: str) -> int:
         return int(text.strip())
     except ValueError:
         raise ParseError(f"expected an integer, got {text.strip()!r}") from None
-
-
-def _parse_field_index(gf, text: str) -> int:
-    """Field literal: '#i', or coefficient list 'c0,c1,...' (short lists
-    are zero-padded); parentheses around the list are allowed."""
-    text = text.strip()
-    if text.startswith("#"):
-        i = _parse_int(text[1:])
-        if not 0 <= i < gf.order:
-            raise ParseError(f"field index {i} outside [0, {gf.order})")
-        return i
-    text = _strip_parens(text)
-    coeffs = [_parse_int(part) % gf.p for part in _split_top(text)]
-    if len(coeffs) > gf.r:
-        raise ParseError(f"too many coefficients for GF({gf.p}^{gf.r})")
-    coeffs += [0] * (gf.r - len(coeffs))
-    return gf.index_of(coeffs)
 
 
 def parse_element(ring: Ring, text: str) -> RingElement:
@@ -254,9 +239,6 @@ def parse_element(ring: Ring, text: str) -> RingElement:
     if isinstance(ring, ZModRing):
         return ring.element(_parse_int(text) % ring.n)
 
-    if isinstance(ring, FieldRing):
-        return ring.element(_parse_field_index(ring.field, text))
-
     if isinstance(ring, MatrixRing):
         body = text.strip()
         if not (body.startswith("[") and body.endswith("]")):
@@ -272,12 +254,15 @@ def parse_element(ring: Ring, text: str) -> RingElement:
             entries = _split_top(row_text[1:-1])
             if len(entries) != ring.k:
                 raise ParseError(f"expected {ring.k} entries per row, got {len(entries)}")
-            rows.append(tuple(_parse_field_index(ring.field, e) for e in entries))
+            rows.append(tuple(parse_element(ring.field, e).index for e in entries))
         return ring.element(ring.encode(tuple(rows)))
 
     if isinstance(ring, PolyQuotientRing):
-        # coefficient lists are never wrapped as a whole; parentheses
-        # belong to individual coefficients over extension-field bases
+        # parentheses belong to individual coefficients over extension-field
+        # bases; over Z_n (a field or Galois ring) one outer pair may wrap
+        # the whole list, as in the entry (1,1) of a matrix over GF4
+        if isinstance(ring.base, ZModRing) and _encloses(text):
+            text = text[1:-1]
         coeffs_text = _split_top(text)
         if len(coeffs_text) > ring.degree:
             raise ParseError(f"too many coefficients for degree-{ring.degree} quotient")
@@ -289,7 +274,7 @@ def parse_element(ring: Ring, text: str) -> RingElement:
         parts = _split_top(_strip_parens(text))
         if not 1 <= len(parts) <= ring.m + 1:
             raise ParseError(f"expected up to {ring.m + 1} components")
-        vals = [_parse_field_index(ring.field, p) for p in parts]
+        vals = [parse_element(ring.field, p).index for p in parts]
         vals += [0] * (ring.m + 1 - len(vals))
         return ring.element(ring.encode((vals[0], tuple(vals[1:]))))
 

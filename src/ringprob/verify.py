@@ -42,10 +42,11 @@ from .closedform import (
     corollary_44_predicate,
     subspace_count,
 )
-from .corpus import default_corpus, ring_from_spec
+from .corpus import default_corpus
 from .errors import ValidationError
 from .probability import ProbFraction, annsum_counts, pair_counts
-from .rings import ProductRing, Ring, ZModRing, quotient_make
+from .rings import ProductRing, Ring, ZModRing, quotient_make, zmod
+from .specparse import parse_ring_spec
 from .structure import (
     ideal_size_power_check,
     left_right_symmetry_check,
@@ -190,7 +191,7 @@ def _lemma25(ring: Ring):
         law, passed = "product law fails at x=#{}", f"{ring.size} targets, componentwise"
     else:
         moduli = [p ** e for p, e in sorted(_factorize(ring.n).items())]
-        factors = [ring_from_spec(f"Z{m}") for m in moduli]
+        factors = [zmod(m) for m in moduli]
         parts = lambda x: [x % m for m in moduli]
         law = "CRT product law fails at x={}"
         passed = "CRT split " + " * ".join(f"Z{m}" for m in moduli)
@@ -307,7 +308,7 @@ def _reuse_corpus_rings(corpus: Corpus, specs) -> list[tuple[str, Ring]]:
     ring (same key()), so its tables and memos are built once per run.
     Constructing a target just to compare keys builds no tables."""
     own = {ring: ring for _, ring in corpus}
-    targets = [(spec, ring_from_spec(spec)) for spec in specs]
+    targets = [(spec, parse_ring_spec(spec)) for spec in specs]
     return [(spec, own.get(ring, ring)) for spec, ring in targets]
 
 

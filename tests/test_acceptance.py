@@ -4,6 +4,8 @@ Each test prints a single `ACCEPTANCE <id> <name>: PASS/FAIL` line (run
 pytest with -s to see them) and fails if any collected check failed.
 """
 
+from functools import lru_cache
+
 from ringprob.closedform import (
     MatrixClass,
     NONZERO_RADICAL,
@@ -20,7 +22,7 @@ from ringprob.closedform import (
     prob_zn,
     subspace_count,
 )
-from ringprob.corpus import default_corpus, ring_from_spec
+from ringprob.corpus import default_corpus
 from ringprob.probability import (
     ProbFraction,
     annsum_counts,
@@ -29,6 +31,7 @@ from ringprob.probability import (
     prob_brute,
 )
 from ringprob.rings import ProductRing, quotient_make
+from ringprob.specparse import parse_ring_spec
 from ringprob.structure import (
     ideal_size_power_check,
     left_right_symmetry_check,
@@ -38,6 +41,10 @@ from ringprob.structure import (
     units,
     zero_divisors,
 )
+
+# One instance per path-free spec for the whole test session, so tests
+# that revisit a ring share its tables and memos.
+cached_ring = lru_cache(maxsize=None)(parse_ring_spec)
 from ringprob.verify import enumerate_subspaces
 
 
@@ -98,7 +105,7 @@ def test_04_matrix_formula():
     failures = []
     expected_m2f2 = {2: 6, 1: 18, 0: 58}
     for spec in ["M1(GF2)", "M1(GF3)", "M2(GF2)", "M2(GF3)", "M3(GF2)", "M2(GF4)"]:
-        ring = ring_from_spec(spec)
+        ring = cached_ring(spec)
         counts = pair_counts(ring, cap=None)
         total = ring.size ** 2
         ranks = [matrix_rank(ring.element(i)) for i in range(ring.size)]
@@ -153,8 +160,8 @@ def test_06_product_law():
                 return
 
     def check_crt(name, n, moduli):
-        counts = pair_counts(ring_from_spec(f"Z{n}"), cap=None)
-        fcounts = {m: pair_counts(ring_from_spec(f"Z{m}"), cap=None) for m in moduli}
+        counts = pair_counts(cached_ring(f"Z{n}"), cap=None)
+        fcounts = {m: pair_counts(cached_ring(f"Z{m}"), cap=None) for m in moduli}
         for x in range(n):
             expected = 1
             for m in moduli:
@@ -165,8 +172,8 @@ def test_06_product_law():
 
     check_crt("Z6", 6, (2, 3))
     check_crt("Z12", 12, (4, 3))
-    check_product_ring("Z2 x Z4", ring_from_spec("Z2 x Z4"))
-    check_product_ring("Z2 x M2(GF2)", ring_from_spec("Z2 x M2(GF2)"))
+    check_product_ring("Z2 x Z4", cached_ring("Z2 x Z4"))
+    check_product_ring("Z2 x M2(GF2)", cached_ring("Z2 x M2(GF2)"))
     report("06 product-law", failures)
 
 
@@ -197,7 +204,7 @@ def test_08_chain_formula():
     failures = []
     for spec in ["Z4", "Z8", "Z27", "chain(2,2)", "chain(2,3)", "chain(3,3)",
                  "GR(2,2,2)"]:
-        ring = ring_from_spec(spec)
+        ring = cached_ring(spec)
         counts = pair_counts(ring, cap=None)
         total = ring.size ** 2
         for x in range(ring.size):
@@ -211,7 +218,7 @@ def test_09_j2zero_formula():
     failures = []
     for spec in ["Z4", "Z9", "chain(2,2)", "chain(3,2)", "triv(2,1)",
                  "triv(2,2)", "triv(2,3)", "triv(3,2)"]:
-        ring = ring_from_spec(spec)
+        ring = cached_ring(spec)
         counts = pair_counts(ring, cap=None)
         total = ring.size ** 2
         for x in range(ring.size):

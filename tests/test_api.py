@@ -9,8 +9,7 @@ import pytest
 import ringprob
 
 PUBLIC_NAMES = [
-    "BadDimensionOrder", "DEFAULT_SIZE_CAP", "DegreeOutOfRange", "DivisionByZero",
-    "ENUMERATION_LIMIT", "EnumerationLimitExceeded", "FieldDescriptor", "FormulaResult",
+    "BadDimensionOrder", "DEFAULT_SIZE_CAP", "DegreeOutOfRange", "ENUMERATION_LIMIT", "EnumerationLimitExceeded", "FieldDescriptor", "FormulaResult",
     "FormulaUnavailable", "Ideal", "ImproperIdeal", "MatrixClass", "MixedRings", "NTooSmall",
     "NonPrime", "NotAnIdeal", "NotChain", "NotJ2Zero", "NotLocal", "ParseError",
     "ProbFraction", "Ring", "RingElement", "RingProbError", "SUITES", "SizeCapExceeded",
@@ -26,15 +25,18 @@ PUBLIC_NAMES = [
 ]
 
 # Wrappers removed because only tests called them; each test now calls
-# what the wrapper wrapped (GaloisField index arithmetic, structure_report,
-# principal_ideal_members, check_size_cap, ...).
+# what the wrapper wrapped (field ring index arithmetic, structure_report,
+# principal_ideal_members, check_size_cap, ...).  The second field engine
+# went too: GF(q) is the polynomial quotient Z_p[t]/(f) (rings.field_ring),
+# and the spec cache ring_from_spec gave way to parse_ring_spec.
 REMOVED_NAMES = [
     "FieldElement", "field_add", "field_neg", "field_mul", "field_inv", "field_enumerate",
     "_same_field", "MixedFields", "jacobson_radical", "radical_powers", "right_annihilator",
     "principal_two_sided_ideal", "ring_enumerate", "table_ring",
+    "FieldRing", "GaloisField", "galois_field", "FIELD_TABLE_CAP", "DivisionByZero",
+    "ring_from_spec",
 ]
 REMOVED_ATTRIBUTES = [
-    ("finfield", "GaloisField", "element"),
     ("structure", "Ideal", "is_proper"),
     ("structure", "Ideal", "sorted_members"),
     ("probability", "SpectrumReport", "prob_of"),
@@ -50,7 +52,7 @@ def test_public_names_are_pinned():
 
 
 @pytest.mark.parametrize("module", ["ringprob", "ringprob.finfield", "ringprob.structure",
-                                    "ringprob.rings", "ringprob.errors"])
+                                    "ringprob.rings", "ringprob.errors", "ringprob.corpus"])
 def test_removed_names_are_gone(module):
     mod = importlib.import_module(module)
     assert [name for name in REMOVED_NAMES if hasattr(mod, name)] == []

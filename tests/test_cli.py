@@ -381,6 +381,25 @@ class TestMalformedInput:
         assert code == 0
         assert json.loads(out)["size"] == 2 ** 400
 
+    @pytest.mark.parametrize("spec, x, size", [
+        ("M20(GF2)", "#0", 2 ** 400),
+        ("GF65537", "0", 65537),
+        ("M2(GF3721)", "[[1,2],[3,4]]", 3721 ** 4),
+    ])
+    def test_formula_needs_no_force(self, capsys, spec, x, size):
+        """A closed form enumerates nothing, so --method formula is held to
+        the spec's order limit only; the other methods keep the cap."""
+        code, out, _ = run_cli(capsys, "prob", "--ring", spec, "--x", x, "--method", "formula")
+        assert code == 0
+        assert json.loads(out)["size"] == size
+        code, out, err = run_cli(capsys, "prob", "--ring", spec, "--x", x)
+        assert code == 3 and out == ""
+        assert "above the cap of 4096" in err
+        code, out, err = run_cli(capsys, "prob", "--ring", "Z2 x M5(GF2) x chain(2,4070)",
+                                 "--x", "#0", "--method", "formula")
+        assert code == 2 and out == ""
+        assert "refused even with the size cap lifted" in err
+
     def test_overlong_integer_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "structure", "--ring", "Z" + "7" * 5000)
         assert code == 2 and out == ""

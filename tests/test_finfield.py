@@ -1,24 +1,27 @@
-"""Field layer: canonical moduli, exact arithmetic, enumeration order."""
+"""Field layer: canonical moduli, and exact arithmetic and enumeration
+order of the field rings Z_p[t]/(f) built on them."""
+
+from functools import lru_cache
 
 import pytest
 
 from ringprob.errors import (
     DegreeOutOfRange,
-    DivisionByZero,
     NonPrime,
     ValidationError,
 )
 from ringprob.finfield import (
-    FIELD_TABLE_CAP,
     _poly_divmod,
-    GaloisField,
+    _poly_mul,
+    _poly_powmod,
+    _poly_trim,
     factor_prime_power,
     field_make,
-    galois_field,
     is_irreducible,
     is_prime,
     smallest_irreducible,
 )
+from ringprob.rings import DEFAULT_SIZE_CAP, field_ring
 
 
 def poly_eval(coeffs, x, p):
@@ -161,77 +164,137 @@ class TestFieldMake:
         assert is_irreducible((1, 0, 1), p) and not is_irreducible((p - 1, 0, 1), p)
 
 
+def power(field, x, e):
+    """x^e by repeated mul_index."""
+    out = 1
+    for _ in range(e):
+        out = field.mul_index(out, x)
+    return out
+
+
+def inverse_by_scan(field, x):
+    """The y with x*y = 1, or None, by a scan of x's mul row."""
+    row = list(field.mul_row(x))
+    return row.index(1) if 1 in row else None
+
+
+@lru_cache(maxsize=None)
+def field_oracle(q):
+    """(add, mul, neg) on GF(q) indices by polynomial arithmetic over Z_p
+    modulo the descriptor's modulus, so they share nothing with the field
+    ring's own operations or tables; each memoizes its own answers."""
+    p, r = factor_prime_power(q)
+    modulus = field_make(p, r).modulus
+    weights = [p ** d for d in range(r)]
+
+    def digits(i):
+        return [i // w % p for w in weights]
+
+    def index(coeffs):
+        return sum(c * w for c, w in zip(coeffs, weights))
+
+    @lru_cache(maxsize=None)
+    def add(i, j):
+        return index((a + b) % p for a, b in zip(digits(i), digits(j)))
+
+    @lru_cache(maxsize=None)
+    def mul(i, j):
+        prod = _poly_mul(_poly_trim(digits(i)), _poly_trim(digits(j)), p)
+        return index(_poly_divmod(prod, modulus, p)[1])
+
+    @lru_cache(maxsize=None)
+    def neg(i):
+        return index(-a % p for a in digits(i))
+
+    return add, mul, neg
+
+
+def poly_power(field, x, e):
+    """Oracle: x^e by _poly_powmod modulo the field's modulus over Z_p,
+    which never touches the field ring's operations."""
+    c = _poly_powmod(_poly_trim(list(field.decode(x))), e, field.modulus, field.base.n)
+    return field.encode(c + (0,) * (field.degree - len(c)))
+
+
 class TestArithmetic:
-    """Elements are indices; coeffs_of and index_of convert to and from
-    coefficient tuples, constant term first."""
+    """GF(p^r) is the field ring Z_p[t]/(f): elements are indices, and
+    decode and encode convert to and from coefficient tuples, constant
+    term first."""
 
     def test_gf4_t_squared(self):
-        gf = galois_field(field_make(2, 2))
-        t = gf.index_of((0, 1))
-        assert gf.coeffs_of(gf.mul(t, t)) == (1, 1)
+        gf = field_ring(4)
+        t = gf.encode((0, 1))
+        assert gf.decode(gf.mul_index(t, t)) == (1, 1)
 
     def test_mul_identity(self):
-        for q_spec in [(2, 2), (3, 2), (2, 3)]:
-            gf = galois_field(field_make(*q_spec))
-            one = gf.index_of((1,) + (0,) * (gf.r - 1))
-            for x in range(gf.order):
-                assert gf.mul(x, one) == x
+        for q in (4, 9, 8):
+            gf = field_ring(q)
+            one = gf.encode((1,) + (0,) * (gf.degree - 1))
+            for x in range(gf.size):
+                assert gf.mul_index(x, one) == x
 
     def test_char2_addition(self):
-        gf = galois_field(field_make(2, 1))
-        one = gf.index_of((1,))
-        assert gf.add(one, one) == gf.index_of((0,))
+        gf = field_ring(2)
+        one = gf.encode((1,))
+        assert gf.add_index(one, one) == gf.encode((0,))
 
     def test_neg(self):
-        gf = galois_field(field_make(3, 1))
-        assert gf.coeffs_of(gf.neg(gf.index_of((1,)))) == (2,)
+        gf = field_ring(3)
+        assert gf.decode(gf.neg_index(gf.encode((1,)))) == (2,)
+
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+    def test_every_product_matches_polynomial_oracle(self, q):
+        gf = field_ring(q)
+        for x in range(gf.size):
+            assert list(gf.mul_row(x)) == [field_oracle(q)[1](x, y) for y in range(q)]
 
     def test_char2_identities(self):
-        gf = galois_field(field_make(2, 2))
-        t = gf.index_of((0, 1))
-        one = gf.index_of((1, 0))
-        zero = gf.index_of((0, 0))
-        assert gf.add(t, t) == zero
-        assert gf.mul(t, t) == gf.add(t, one)
-        assert gf.neg(t) == t
-        assert gf.add(t, gf.neg(t)) == zero
+        gf = field_ring(4)
+        t = gf.encode((0, 1))
+        one = gf.encode((1, 0))
+        zero = gf.encode((0, 0))
+        assert gf.add_index(t, t) == zero
+        assert gf.mul_index(t, t) == gf.add_index(t, one)
+        assert gf.neg_index(t) == t
+        assert gf.add_index(t, gf.neg_index(t)) == zero
 
 
 class TestInverse:
+    """Every nonzero element has an inverse under mul_index, zero none."""
+
     def test_gf2(self):
-        gf = galois_field(field_make(2, 1))
-        assert gf.coeffs_of(gf.inv(gf.index_of((1,)))) == (1,)
+        gf = field_ring(2)
+        assert gf.decode(inverse_by_scan(gf, gf.encode((1,)))) == (1,)
 
     def test_gf4_inv_t(self):
-        gf = galois_field(field_make(2, 2))
-        t = gf.index_of((0, 1))
-        assert gf.coeffs_of(gf.inv(t)) == (1, 1)
-        assert gf.coeffs_of(gf.mul(t, gf.inv(t))) == (1, 0)
+        gf = field_ring(4)
+        t = gf.encode((0, 1))
+        assert gf.decode(inverse_by_scan(gf, t)) == (1, 1)
+        assert gf.decode(gf.mul_index(t, inverse_by_scan(gf, t))) == (1, 0)
 
     def test_gf3_self_inverse(self):
-        gf = galois_field(field_make(3, 1))
-        two = gf.index_of((2,))
-        assert gf.inv(two) == two
+        gf = field_ring(3)
+        two = gf.encode((2,))
+        assert inverse_by_scan(gf, two) == two
 
     def test_zero_rejected(self):
-        gf = galois_field(field_make(2, 2))
-        with pytest.raises(DivisionByZero):
-            gf.inv(gf.index_of((0, 0)))
+        gf = field_ring(4)
+        assert inverse_by_scan(gf, gf.encode((0, 0))) is None
 
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (5, 1), (7, 1), (3, 3),
                                      (2, 8), (5, 3)])
     def test_inverse_matches_exhaustive_scan(self, p, r):
-        gf = galois_field(field_make(p, r))
-        one = 1
-        for x in range(1, gf.order):
-            by_scan = next(y for y in range(1, gf.order) if gf.mul(x, y) == one)
-            assert gf.inv(x) == by_scan
+        # x^(q-2), raised by polynomial arithmetic, is the inverse the
+        # field ring's table holds
+        gf = field_ring(p ** r)
+        for x in range(1, gf.size):
+            assert poly_power(gf, x, gf.size - 2) == inverse_by_scan(gf, x)
 
 
 def field_elements(p, r):
     """Coefficient tuples of GF(p^r) in canonical index order."""
-    gf = galois_field(field_make(p, r))
-    return [gf.coeffs_of(i) for i in range(gf.order)]
+    gf = field_ring(p ** r)
+    return [gf.decode(i) for i in range(gf.size)]
 
 
 class TestEnumeration:
@@ -249,24 +312,24 @@ class TestEnumeration:
 
     def test_index_round_trip(self):
         for p, r in [(2, 2), (3, 2), (2, 4)]:
-            gf = galois_field(field_make(p, r))
-            for i in range(gf.order):
-                assert gf.index_of(gf.coeffs_of(i)) == i
+            gf = field_ring(p ** r)
+            for i in range(gf.size):
+                assert gf.encode(gf.decode(i)) == i
 
 
 class TestGroupLaws:
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
     def test_lagrange(self, p, r):
-        gf = galois_field(field_make(p, r))
-        q = gf.order
+        gf = field_ring(p ** r)
+        q = gf.size
         for x in range(1, q):
-            assert gf.pow(x, q - 1) == 1
+            assert power(gf, x, q - 1) == 1
 
     @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (5, 1)])
     def test_units_closed_under_inverse(self, p, r):
-        gf = galois_field(field_make(p, r))
-        nonzero = set(range(1, gf.order))
-        assert {gf.inv(x) for x in nonzero} == nonzero
+        gf = field_ring(p ** r)
+        nonzero = set(range(1, gf.size))
+        assert {inverse_by_scan(gf, x) for x in nonzero} == nonzero
 
     def test_additive_group_order(self):
         for p, r in [(2, 3), (3, 2)]:
@@ -274,37 +337,41 @@ class TestGroupLaws:
 
 
 class TestLazyTables:
+    """A field ring builds its tables on the first table access, like
+    every ring, and above DEFAULT_SIZE_CAP computes per call."""
+
     @pytest.mark.parametrize("op, args", [("add", (3, 5)), ("mul", (3, 5)), ("neg", (3,))])
     def test_built_on_first_operation(self, op, args):
-        gf = GaloisField(field_make(3, 3))      # a fresh engine, not the shared one
-        assert (gf.add_table, gf.mul_table, gf.neg_table) == (None, None, None)
-        assert getattr(gf, op)(*args) == getattr(gf, f"_{op}_raw")(*args)
-        assert gf.mul_table is not None and gf.add_table is not None
-        assert gf.tables() == (gf.add_table, gf.mul_table, gf.neg_table)
+        gf = field_ring(27)
+        assert (gf._add_rows, gf._mul_rows, gf._neg_list) == (None, None, None)
+        assert getattr(gf, f"{op}_index")(*args) == getattr(gf, f"_{op}")(*args)
+        assert gf._mul_rows is not None and gf._add_rows is not None
 
     def test_never_built_above_the_cap(self):
-        gf = GaloisField(field_make(3, 6))
-        assert gf.order > FIELD_TABLE_CAP
-        assert gf.mul(5, 7) == gf._mul_raw(5, 7)
-        assert gf.tables() is None and gf.mul_table is None
+        gf = field_ring(3 ** 8)
+        assert gf.size > DEFAULT_SIZE_CAP
+        for x, y in [(5, 7), (3 ** 7, 6560), (1234, 4321)]:
+            assert gf.mul_index(x, y) == field_oracle(gf.size)[1](x, y)
+        assert gf._mul_rows is None and gf._add_rows is None
 
     @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 8)])
     def test_inverse_builds_no_table(self, p, r):
-        gf = GaloisField(field_make(p, r))
-        inverses = [gf.inv(x) for x in range(1, gf.order)]
-        assert (gf.add_table, gf.mul_table, gf.neg_table) == (None, None, None)
-        assert all(gf._mul_raw(x, y) == 1 for x, y in enumerate(inverses, 1))
+        # x^(q-2) by polynomial arithmetic, checked by per-call products
+        gf = field_ring(p ** r)
+        inverses = [poly_power(gf, x, gf.size - 2) for x in range(1, gf.size)]
+        assert all(gf._mul(x, y) == 1 for x, y in enumerate(inverses, 1))
+        assert (gf._add_rows, gf._mul_rows, gf._neg_list) == (None, None, None)
 
     def test_pow_builds_no_table(self):
-        gf = GaloisField(field_make(2, 8))
-        assert gf.pow(3, 254) == gf.inv(3) and gf.pow(0, 0) == 1
-        assert (gf.add_table, gf.mul_table, gf.neg_table) == (None, None, None)
+        gf = field_ring(2 ** 8)
+        assert gf._mul(3, poly_power(gf, 3, 254)) == 1 and poly_power(gf, 0, 0) == 1
+        assert (gf._add_rows, gf._mul_rows, gf._neg_list) == (None, None, None)
 
     @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_pow_matches_repeated_mul(self, p, r):
-        gf = GaloisField(field_make(p, r))
-        for x in range(gf.order):
-            power = 1
-            for e in range(2 * gf.order):
-                assert gf.pow(x, e) == power, (x, e)
-                power = gf.mul(power, x)
+        gf = field_ring(p ** r)
+        for x in range(gf.size):
+            value = 1
+            for e in range(2 * gf.size):
+                assert poly_power(gf, x, e) == value, (x, e)
+                value = gf.mul_index(value, x)

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from ringprob.corpus import default_corpus
-from ringprob.errors import MixedRings, SizeCapExceeded
+from ringprob.errors import EnumerationLimitExceeded, MixedRings, SizeCapExceeded
 from ringprob.probability import (
     ProbFraction,
     annsum_counts,
@@ -80,6 +80,12 @@ class TestDelta:
     def test_mixed_rings(self):
         with pytest.raises(MixedRings):
             delta(zmod(4).element(1), zmod(6).element(1))
+
+    def test_refused_above_the_enumeration_limit(self):
+        # the row scan would build a 10^8-entry row
+        ring = zmod(10 ** 8)
+        with pytest.raises(EnumerationLimitExceeded):
+            delta(ring.element(3), ring.element(6))
 
 
 class TestBrute:

@@ -11,7 +11,6 @@ from ringprob.cli import main
 from ringprob.closedform import prob_formula, prob_matrix_formula, MatrixClass
 from ringprob.corpus import default_corpus, fixture_path
 from ringprob.errors import FormulaUnavailable, ValidationError
-from ringprob.finfield import GaloisField
 from ringprob.probability import ProbFraction, prob_brute
 from ringprob.recipe import _factorize, invariants, matrix_rank
 from ringprob.rings import (
@@ -24,10 +23,12 @@ from ringprob.rings import (
     field_ring,
     matrix_ring,
     quotient_make,
+    trivial_extension,
     zmod,
 )
 from ringprob.specparse import parse_ring_spec
 from ringprob.structure import structure_report
+from test_finfield import field_oracle
 
 RECIPE_EXTRA_SPECS = ["GR(3,2,2)", "chain(4,3)", "M2(GF5)", "triv(4,2)", "Z360",
                       "Z8 x GF8", "table:<fixture> x Z3"]
@@ -135,35 +136,46 @@ class TestMatrixRank:
         # M2(GF9) is above the cap; there the rank is 2 iff det != 0, else 1
         # for a nonzero matrix.  GF(9) has -1 != 1, unlike GF(4) and GF(8).
         ring = matrix_ring(2, 9)
-        gf = ring.field
+        add, mul, neg = field_oracle(9)
         for i in range(ring.size):
             (a, b), (c, d) = ring.decode(i)
-            det = gf.add(gf.mul(a, d), gf.neg(gf.mul(b, c)))
+            det = add(mul(a, d), neg(mul(b, c)))
             expected = 2 if det else (1 if i else 0)
             assert matrix_rank(ring.element(i)) == expected
 
     def test_field_above_table_cap_computes_per_call(self):
-        # GF(729) = GF(3^6) keeps no tables; M2 over it has 729^4 elements
+        # M2 over GF(729) = GF(3^6) has 729^4 elements, above the cap, so its
+        # entries are multiplied per call and the field builds no table
         ring = matrix_ring(2, 729)
-        gf = ring.field
+        add, mul, neg = field_oracle(729)
         rank_by_det = {}
         for a, b, c, d in [(0, 0, 0, 0), (5, 0, 0, 0), (5, 7, 0, 0), (1, 2, 3, 4),
                            (700, 3, 12, 99), (0, 1, 1, 0)]:
             for scale in (1, 2, 728):
-                rows = ((a, b), (gf.mul(scale, a), gf.mul(scale, b)))   # rank <= 1
+                rows = ((a, b), (mul(scale, a), mul(scale, b)))   # rank <= 1
                 rank_by_det[rows] = 1 if a or b else 0
             rows = ((a, b), (c, d))
-            det = gf.add(gf.mul(a, d), gf.neg(gf.mul(b, c)))
+            det = add(mul(a, d), neg(mul(b, c)))
             rank_by_det[rows] = 2 if det else (1 if any((a, b, c, d)) else 0)
         for rows, rank in rank_by_det.items():
             assert matrix_rank(ring.element(ring.encode(rows))) == rank
-        assert gf.mul_table is None and ring._mul_rows is None
+        assert ring.field._mul_rows is None and ring._mul_rows is None
+        # a field within the cap whose ring is above it: 3721 = 61^2 and
+        # 2187 = 3^7 would give 13.8M and 4.8M table entries; above the cap,
+        # GF(4093^2) multiplies its coefficients in Z_4093 per call too
+        big = matrix_ring(2, 4093 ** 2)
+        for ring in (matrix_ring(2, 729), matrix_ring(2, 3721), trivial_extension(2187, 2), big):
+            for xi in (0, ring.one_index, 2, ring.size - 1):
+                prob_formula(ring, xi)
+            assert ring.field._mul_rows is None and ring._mul_rows is None
+        assert big.field.base._mul_rows is None
 
 
 @pytest.fixture
 def table_work(monkeypatch):
-    """Counts ring table builds, field table reads and structure_report calls."""
-    counts = {"ring tables": 0, "field ops": 0, "structure_report": 0}
+    """Counts ring table builds, index-level ring operations (field entry
+    ops among them) and structure_report calls."""
+    counts = {"ring tables": 0, "index ops": 0, "structure_report": 0}
     ring_tables = Ring._tables
 
     def counted_tables(self):
@@ -173,14 +185,14 @@ def table_work(monkeypatch):
         return ok
 
     monkeypatch.setattr(Ring, "_tables", counted_tables)
-    for name in ("add", "mul", "neg"):
-        op = getattr(GaloisField, name)
+    for name in ("add_index", "mul_index", "neg_index"):
+        op = getattr(Ring, name)
 
         def counted_op(self, *args, _op=op):
-            counts["field ops"] += 1
+            counts["index ops"] += 1
             return _op(self, *args)
 
-        monkeypatch.setattr(GaloisField, name, counted_op)
+        monkeypatch.setattr(Ring, name, counted_op)
 
     def counted_report(ring, _report=structure_report):
         counts["structure_report"] += 1
@@ -201,7 +213,7 @@ class TestNoTablesForClosedForms:
             code = main(["prob", "--ring", spec, "--x", f"#{target}",
                          "--method", method, "--explain"])
             assert code == 0
-        assert table_work == {"ring tables": 0, "field ops": 0, "structure_report": 0}
+        assert table_work == {"ring tables": 0, "index ops": 0, "structure_report": 0}
         assert capsys.readouterr().err == ""
 
     def test_table_factor_reads_structure_report_once(self, table_work, capsys):

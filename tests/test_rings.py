@@ -25,7 +25,6 @@ from ringprob.errors import (
 from ringprob.probability import pair_counts
 from ringprob.rings import (
     DEFAULT_SIZE_CAP,
-    FieldRing,
     MatrixRing,
     PolyQuotientRing,
     ProductRing,
@@ -44,6 +43,7 @@ from ringprob.rings import (
 from ringprob.specparse import parse_ring_spec
 from ringprob.structure import principal_ideal_members, structure_report
 from ringprob.verify import _proper_principal_ideals
+from test_finfield import field_oracle
 from test_structure import NONCOMMUTATIVE, _one_sided, _outcome, validate_ideal_all_pairs
 
 
@@ -101,8 +101,8 @@ class TestArithmetic:
 
 def matrix_product_oracle(ring, i, j):
     """Oracle: decode both operands into row tuples, multiply entry by entry
-    with the field's add and mul, and encode the result."""
-    gf, k = ring.field, ring.k
+    with the polynomial field operations, and encode the result."""
+    (add, mul, _), k = field_oracle(ring.q), ring.k
     a, b = ring.decode(i), ring.decode(j)
     out = []
     for r in range(k):
@@ -110,7 +110,7 @@ def matrix_product_oracle(ring, i, j):
         for c in range(k):
             s = 0
             for t in range(k):
-                s = gf.add(s, gf.mul(a[r][t], b[t][c]))
+                s = add(s, mul(a[r][t], b[t][c]))
             row.append(s)
         out.append(tuple(row))
     return ring.encode(tuple(out))
@@ -128,8 +128,9 @@ class TestMatrixProduct:
             assert [ring._mul(i, j) for j in range(ring.size)] == [
                 matrix_product_oracle(ring, i, j) for j in range(ring.size)]
 
-    # GF(729) lies above FIELD_TABLE_CAP, so its products use the per-call
-    # field operations; GF(8) uses the field tables; GF(2), GF(5) integers
+    # M2(GF729) lies above DEFAULT_SIZE_CAP, so its products use the
+    # per-call field operations; M2(GF8) the field tables; GF(2), GF(5)
+    # integers
     @pytest.mark.parametrize("spec", ["M3(GF2)", "M2(GF5)", "M2(GF8)", "M2(GF729)"])
     def test_seeded_pairs(self, spec):
         ring = parse_ring_spec(spec, None)
@@ -189,6 +190,28 @@ class TestCanonicalIndexing:
                 assert ring.mul_index(one, i) == i
                 assert ring.mul_index(i, one) == i
                 assert ring.add_index(i, ring.neg_index(i)) == 0
+
+
+class TestFieldsArePolynomialQuotients:
+    """GF(p^r) is Z_p[t]/(f), the Galois ring GR(p, 1, r)."""
+
+    @pytest.mark.parametrize("p, r", [(2, 1), (2, 3), (3, 2), (5, 1), (7, 2)])
+    def test_field_equals_galois_ring_of_length_one(self, p, r):
+        gf, gr = field_ring(p ** r), galois_ring(p, 1, r)
+        assert gf == gr and hash(gf) == hash(gr)
+        assert (gf.describe(), gr.describe()) == (f"GF{p ** r}", f"GR({p},1,{r})")
+        assert [gf.mul_row(i) for i in range(gf.size)] == [gr.mul_row(i) for i in range(gr.size)]
+
+    def test_prime_field_is_not_zmod_but_indexes_by_residue(self):
+        gf5, z5 = field_ring(5), zmod(5)
+        assert gf5 != z5
+        assert [gf5.mul_row(i) for i in range(5)] == [z5.mul_row(i) for i in range(5)]
+        assert [gf5.add_row(i) for i in range(5)] == [z5.add_row(i) for i in range(5)]
+
+    def test_rings_over_a_field_embed_its_key(self):
+        assert matrix_ring(2, 4).key() == ("matrix", 2, field_ring(4).key())
+        assert trivial_extension(9, 2).key() == ("triv", field_ring(9).key(), 2)
+        assert matrix_ring(2, 4) != matrix_ring(2, 2) and matrix_ring(1, 4) != field_ring(4)
 
 
 class TestRingAxioms:
@@ -441,15 +464,12 @@ def addition_oracle(ring):
     if isinstance(ring, TableRing):
         return lambda i, j: ring._table_add[i][j]
     forms = [ring.decode(i) for i in range(ring.size)]
-    if isinstance(ring, FieldRing):
-        p = ring.descriptor.p
-        return lambda i, j: ring.encode(tuple((a + b) % p for a, b in zip(forms[i], forms[j])))
     if isinstance(ring, MatrixRing):
-        fadd = ring.field.add
+        fadd = field_oracle(ring.q)[0]
         return lambda i, j: ring.encode(tuple(
             tuple(map(fadd, ra, rb)) for ra, rb in zip(forms[i], forms[j])))
     if isinstance(ring, TrivialExtensionRing):
-        fadd = ring.field.add
+        fadd = field_oracle(ring.q)[0]
         return lambda i, j: ring.encode((fadd(forms[i][0], forms[j][0]),
                                          tuple(map(fadd, forms[i][1], forms[j][1]))))
     if isinstance(ring, PolyQuotientRing):
@@ -511,18 +531,20 @@ class TestMemoTables:
         """The table build calls _mul on (digit element, additive generator)
         pairs only: at most one call per generator and nonzero digit value,
         81 for M3(GF2).  Construction builds nothing: the first table
-        access does."""
-        calls = []
+        access does.  Only calls on the ring under test count, not those
+        on its field, itself a polynomial quotient."""
+        every_call = []
         structural = cls._mul
 
         def counted(self, i, j):
-            calls.append((i, j))
+            every_call.append((self, i, j))
             return structural(self, i, j)
 
         monkeypatch.setattr(cls, "_mul", counted)
         ring = ring_factory()
-        assert not calls
+        assert not every_call
         ring.mul_row(0)
+        calls = [(i, j) for owner, i, j in every_call if owner is ring]
         generators = ring.additive_generators()
         assert 0 < len(calls) <= len(generators) * sum(m - 1 for m in ring.radices)
         assert {j for _, j in calls} <= set(generators)

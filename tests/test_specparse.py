@@ -40,7 +40,7 @@ class TestGrammar:
 
     def test_gf_factors_order(self):
         ring = parse_ring_spec("GF9")
-        assert ring.size == 9 and ring.descriptor.p == 3
+        assert ring.size == 9 and ring.base.n == 3
 
     def test_chain_gr_triv(self):
         assert parse_ring_spec("chain(2,3)").size == 8
@@ -166,6 +166,10 @@ class TestElementLiterals:
     def test_galois_ring_coefficients(self):
         gr = parse_ring_spec("GR(2,2,2)")
         assert parse_element(gr, "3,2").form == (3, 2)
+        # over Z_n one outer pair may wrap the list, as for a field
+        assert parse_element(gr, "(3,2)").form == (3, 2)
+        with pytest.raises(ParseError):
+            parse_element(gr, "(3),2)")
 
     def test_trivial_extension_tuple(self):
         tv = parse_ring_spec("triv(2,2)")

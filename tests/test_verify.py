@@ -3,7 +3,6 @@ are reported with both fractions."""
 
 import json
 from collections import Counter
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -15,13 +14,14 @@ from ringprob.closedform import (
     ZERO_CLASS,
     FormulaResult,
 )
-from ringprob.corpus import corpus_from_file, ring_from_spec
+from ringprob.corpus import corpus_from_file
 from ringprob.errors import ValidationError
 from ringprob.probability import ProbFraction
 from ringprob.rings import MatrixRing, ProductRing, QuotientRing, Ring, ZModRing
 from ringprob.specparse import parse_ring_spec
 from ringprob.structure import principal_ideal_members
 from ringprob.verify import SUITES, run_suites
+from test_acceptance import cached_ring
 
 ROOT = Path(__file__).resolve().parent.parent
 # The default corpus plus every seeded alternative of the benchmark's
@@ -226,7 +226,7 @@ def every_g_ideals(ring):
 def pool_ring(spec):
     if spec.startswith("table:"):
         return parse_ring_spec(f"table:{ROOT / spec[len('table:'):]}")
-    return ring_from_spec(spec)
+    return cached_ring(spec)
 
 
 class TestSharedWork:
@@ -264,8 +264,7 @@ class TestSharedWork:
         assert not any(r is corpus[4][1] for r in checked)
 
     def test_matrix_tables_built_once_per_run(self, tmp_path, monkeypatch):
-        # a fresh spec cache, so instances built by earlier tests hide nothing
-        monkeypatch.setattr(verify, "ring_from_spec", lru_cache(maxsize=None)(parse_ring_spec))
+        # no spec cache outlives a run, so each run builds its own instances
         builds = Counter()
         build = Ring._build_tables
 
