@@ -24,8 +24,9 @@ from .errors import (
 )
 from .finfield import factor_prime_power
 from .probability import ProbFraction, _index_of, pair_counts, prob_annsum
-from .recipe import _factorize, invariants, matrix_rank
-from .rings import DEFAULT_SIZE_CAP, MatrixRing, ProductRing, Ring, RingElement, check_size_cap
+from .recipe import components, invariants, matrix_rank
+from .rings import (DEFAULT_SIZE_CAP, MatrixRing, ProductRing, Ring, RingElement,
+                    check_size_cap, zmod)
 from .structure import structure_report
 
 ZERO_CLASS = "zero"
@@ -186,30 +187,14 @@ def prob_j2zero_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
 
 
 def prob_zn(n: int, x: int) -> FormulaResult:
-    """Exact value over the integers mod n via the prime-power split:
-    chain closed form on each Z_{p^e} factor, multiplied together."""
-    if n < 2:
-        raise ValidationError(f"modulus must be >= 2, got {n}")
-    x = int(x) % n
-    value = ProbFraction(1, 1)
-    factors = _factorize(n)
-    for p, e in sorted(factors.items()):
-        pe = p ** e
-        xi = x % pe
-        if xi == 0:
-            part = ProbFraction((e + 1) * p - e, p ** (e + 1))
-        else:
-            k = 0
-            while xi % p == 0:
-                xi //= p
-                k += 1
-            part = ProbFraction((k + 1) * (p - 1), p ** (e + 1))
-        value = value * part
-    return FormulaResult(
-        value=value,
-        formula="zn",
-        applicability={"n": n, "factors": factors},
-    )
+    """Exact value over the integers mod n: the closed form on each
+    prime-power component Z_{p^e} (a chain ring), multiplied together."""
+    ring = zmod(n)
+    factors, split = components(ring) or ((ring,), lambda i: (i,))
+    value = prod((prob_formula(f, c).value for f, c in zip(factors, split(int(x) % n))),
+                 start=ProbFraction(1, 1))
+    return FormulaResult(value, "zn",
+                         {"n": n, "factors": dict(factor_prime_power(f.n) for f in factors)})
 
 
 def corollary_43_predicates(ring: Ring) -> tuple[bool, bool, bool, bool]:

@@ -183,9 +183,10 @@ def is_irreducible(poly: tuple[int, ...], p: int) -> bool:
                for d in range(2, degree + 1) if degree % d == 0 and is_prime(d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree r over Z_p.
+    """Lexicographically smallest monic irreducible of degree r over Z_p;
+    a bounded cache keeps the last 128 (p, r), however many fields are built.
 
     Candidates are ordered by the base-p value of the non-leading
     coefficient vector, constant term varying fastest.

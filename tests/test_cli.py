@@ -69,6 +69,13 @@ class TestProb:
         assert code == 2
         assert "prime power" in err
 
+    @pytest.mark.parametrize("spec", ["GF512", "M1(GF512)", "chain(512,1)", "GR(2,1,9)"])
+    def test_extension_degree_above_8_is_usage_error(self, capsys, spec):
+        # 512 = 2^9: the degree is past finfield.MAX_EXTENSION_DEGREE
+        code, _, err = run_cli(capsys, "prob", "--ring", spec, "--x", "0")
+        assert code == 2
+        assert err == "error: degree 9 outside [1, 8]\n"
+
     def test_size_cap_refusal(self, capsys):
         code, _, err = run_cli(capsys, "prob", "--ring", "Z5000", "--x", "3")
         assert code == 3

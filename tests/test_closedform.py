@@ -1,5 +1,9 @@
 """Closed forms and bounds against enumeration oracles and frozen values."""
 
+from fractions import Fraction
+from itertools import product as iter_product
+from math import prod
+
 import pytest
 
 from ringprob.closedform import (
@@ -292,6 +296,74 @@ class TestZn:
     def test_rejects_small_modulus(self):
         with pytest.raises(ValidationError):
             prob_zn(1, 0)
+
+
+def total_probability(classes):
+    """Sum of class size x Prob(representative) over (size, ProbFraction)
+    pairs that partition the ring: exactly 1 when the closed forms are."""
+    return sum(size * Fraction(value.hits, value.total) for size, value in classes)
+
+
+def layer_classes(ring, q, m, step):
+    """Zero, and the m radical layers of a maximal-chain ring with residue
+    field order q: layer i has q^(m-i) - q^(m-i-1) elements, index step^i
+    among them."""
+    yield 1, prob_formula(ring, 0).value
+    for i in range(m):
+        yield q ** (m - i) - q ** (m - i - 1), prob_formula(ring, step ** i).value
+
+
+def crt(residues):
+    """The x mod prod(m) with x = r mod m for each (r, m), m pairwise coprime."""
+    n = prod(m for _, m in residues)
+    return sum(r * (n // m) * pow(n // m, -1, m) for r, m in residues) % n
+
+
+class TestProbabilitiesSumToOne:
+    """Sum_x Prob_x(R) = 1, since every pair (a, b) has one product: the
+    closed forms summed over the classes they are constant on, on rings far
+    beyond enumeration."""
+
+    @pytest.mark.parametrize("q, m", [(3, 200), (4, 50), (2, 1), (7, 3)])
+    def test_chain(self, q, m):
+        assert total_probability(layer_classes(chain_ring(q, m), q, m, q)) == 1
+
+    @pytest.mark.parametrize("p, k, r", [(2, 64, 3), (3, 5, 2), (5, 2, 1)])
+    def test_galois_ring(self, p, k, r):
+        assert total_probability(layer_classes(galois_ring(p, k, r), p ** r, k, p)) == 1
+
+    @pytest.mark.parametrize("q, m", [(2, 100), (9, 5), (5, 1)])
+    def test_trivial_extension(self, q, m):
+        ring = trivial_extension(q, m)
+        classes = [((q - 1) * q ** m, prob_formula(ring, ring.one_index).value),
+                   (q ** m - 1, prob_formula(ring, 1).value),
+                   (1, prob_formula(ring, 0).value)]
+        assert total_probability(classes) == 1
+
+    @pytest.mark.parametrize("q, k", [(2, 20), (7, 12), (4, 3)])
+    def test_matrix_ring(self, q, k):
+        # Landsberg: prod_{i<r} (q^k - q^i)^2 / (q^r - q^i) matrices of rank r
+        def rank_count(r):
+            return prod((q ** k - q ** i) ** 2 for i in range(r)) // prod(
+                q ** r - q ** i for i in range(r))
+        assert sum(rank_count(r) for r in range(k + 1)) == q ** (k * k)
+        assert total_probability((rank_count(r), prob_matrix_formula(MatrixClass(q, k, r)).value)
+                                 for r in range(k + 1)) == 1
+
+    @pytest.mark.parametrize("factors", [{2: 3, 3: 2, 5: 1}, {2: 1, 3: 1, 5: 1, 7: 1, 11: 1},
+                                         {2: 10, 3: 7, 5: 4, 7: 3}, {2: 12}])
+    def test_zn(self, factors):
+        # the class with valuations (k_p) has prod (p^(e-k) - p^(e-k-1)) elements,
+        # a factor of 1 where k = e; x = p^k mod p^e for every p represents it
+        n = prod(p ** e for p, e in factors.items())
+        classes = []
+        for ks in iter_product(*(range(e + 1) for e in factors.values())):
+            size = prod(p ** (e - k) - p ** (e - k - 1) if k < e else 1
+                        for (p, e), k in zip(factors.items(), ks))
+            x = crt([(p ** k % p ** e, p ** e) for (p, e), k in zip(factors.items(), ks)])
+            classes.append((size, prob_zn(n, x).value))
+        assert sum(size for size, _ in classes) == n
+        assert total_probability(classes) == 1
 
 
 class TestCorollaryPredicates:

@@ -22,6 +22,7 @@ from ringprob.finfield import (
     smallest_irreducible,
 )
 from ringprob.rings import DEFAULT_SIZE_CAP, field_ring
+from ringprob.specparse import parse_ring_spec
 
 
 def poly_eval(coeffs, x, p):
@@ -139,6 +140,19 @@ class TestFieldMake:
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 3), (5, 2), (7, 2), (2, 8)])
     def test_modulus_is_irreducible(self, p, r):
         assert is_irreducible(smallest_irreducible(p, r), p)
+
+    def test_modulus_cache_is_bounded(self):
+        """Parsing GF<p> for more primes than the cache holds evicts the
+        oldest moduli instead of keeping one entry per field."""
+        bound = smallest_irreducible.cache_info().maxsize
+        assert bound is not None
+        primes = [p for p in range(2, 10 ** 4) if is_prime(p)][:300]
+        assert len(primes) == 300 > bound
+        smallest_irreducible.cache_clear()
+        for p in primes:
+            assert parse_ring_spec(f"GF{p}").size == p
+            assert smallest_irreducible.cache_info().currsize <= bound
+        assert smallest_irreducible.cache_info().currsize == bound
 
     def test_rabin_test_matches_divisor_scan(self):
         n = 0

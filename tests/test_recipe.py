@@ -12,7 +12,7 @@ from ringprob.closedform import prob_formula, prob_matrix_formula, MatrixClass
 from ringprob.corpus import default_corpus, fixture_path
 from ringprob.errors import FormulaUnavailable, ValidationError
 from ringprob.probability import ProbFraction, prob_brute
-from ringprob.recipe import _factorize, invariants, matrix_rank
+from ringprob.recipe import _factorize, components, invariants, matrix_rank
 from ringprob.rings import (
     DEFAULT_SIZE_CAP,
     MatrixRing,
@@ -30,8 +30,10 @@ from ringprob.specparse import parse_ring_spec
 from ringprob.structure import structure_report
 from test_finfield import field_oracle
 
-RECIPE_EXTRA_SPECS = ["GR(3,2,2)", "chain(4,3)", "M2(GF5)", "triv(4,2)", "Z360",
-                      "Z8 x GF8", "table:<fixture> x Z3"]
+# Z360 and Z210 split into three and four components; Z6 x Z10 is a
+# product whose factors split again.
+RECIPE_EXTRA_SPECS = ["GR(3,2,2)", "chain(4,3)", "M2(GF5)", "triv(4,2)", "Z360", "Z210",
+                      "Z8 x GF8", "Z6 x Z10", "table:<fixture> x Z3"]
 
 # Rings without a recipe: they read their invariants off structure_report.
 NO_RECIPE = {
@@ -76,10 +78,33 @@ class TestRecipeMatchesStructure:
 
     def test_layer_of_zero_is_undefined(self):
         for spec in ("Z8", "Z12", "GF4", "M2(GF2)", "M1(GF3)", "chain(2,3)", "GR(2,2,2)",
-                     "triv(2,2)", "Z8 x GF8", "table:<fixture> x Z3"):
+                     "triv(2,2)", "Z8 x GF8", "Z210", "Z6 x Z10", "table:<fixture> x Z3"):
             ring = build(spec)
             with pytest.raises(ValueError):
                 invariants(ring).radical_layer(0)
+
+
+class TestComponents:
+    def test_composite_zn_splits_by_crt(self):
+        factors, split = components(zmod(360))
+        assert [f.describe() for f in factors] == ["Z8", "Z9", "Z5"]
+        assert split(12) == (4, 3, 2)
+
+    @pytest.mark.parametrize("n", [60, 210])
+    def test_crt_split_is_a_ring_isomorphism(self, n):
+        factors, split = components(zmod(n))
+        assert len({split(i) for i in range(n)}) == n
+        for i in range(n):
+            for j in range(n):
+                assert split((i + j) % n) == tuple(
+                    f.add_index(a, b) for f, a, b in zip(factors, split(i), split(j)))
+                assert split(i * j % n) == tuple(
+                    f.mul_index(a, b) for f, a, b in zip(factors, split(i), split(j)))
+
+    @pytest.mark.parametrize("spec", ["Z2", "Z8", "Z9", "GF4", "M2(GF2)", "chain(2,3)",
+                                      "GR(2,2,2)", "triv(2,2)", "table:<fixture>"])
+    def test_indecomposable_rings_do_not_split(self, spec):
+        assert components(build(spec)) is None
 
 
 def factorize_by_trial_division(n):

@@ -17,6 +17,7 @@ from ringprob.closedform import (
 from ringprob.corpus import corpus_from_file
 from ringprob.errors import ValidationError
 from ringprob.probability import ProbFraction
+from ringprob.recipe import components
 from ringprob.rings import MatrixRing, ProductRing, QuotientRing, Ring, ZModRing
 from ringprob.specparse import parse_ring_spec
 from ringprob.structure import principal_ideal_members
@@ -130,7 +131,7 @@ def _matrix_units_off(orig):
 
 
 def _is_crt_composite(ring):
-    return isinstance(ring, ZModRing) and len(verify._factorize(ring.n)) >= 2
+    return isinstance(ring, ZModRing) and components(ring) is not None
 
 
 # key -> (suite, name patched in verify, patch factory taking the original,
