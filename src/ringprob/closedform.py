@@ -24,9 +24,8 @@ from .errors import (
 )
 from .finfield import factor_prime_power
 from .probability import ProbFraction, _index_of, pair_counts, prob_annsum
-from .recipe import components, invariants, matrix_rank
-from .rings import (DEFAULT_SIZE_CAP, MatrixRing, ProductRing, Ring, RingElement,
-                    check_size_cap, zmod)
+from .recipe import _factorize, components, invariants, matrix_rank
+from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement, check_size_cap, zmod
 from .structure import structure_report
 
 ZERO_CLASS = "zero"
@@ -34,7 +33,7 @@ NONZERO_ZERO_DIVISOR = "nonzero_zero_divisor"
 NONZERO_RADICAL = "nonzero_radical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormulaResult:
     """An exact value plus the formula tag and its verified hypotheses."""
 
@@ -187,14 +186,11 @@ def prob_j2zero_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
 
 
 def prob_zn(n: int, x: int) -> FormulaResult:
-    """Exact value over the integers mod n: the closed form on each
-    prime-power component Z_{p^e} (a chain ring), multiplied together."""
+    """Exact value over the integers mod n: prob_formula on Z_n, which
+    multiplies the closed forms of its prime-power components Z_{p^e}."""
     ring = zmod(n)
-    factors, split = components(ring) or ((ring,), lambda i: (i,))
-    value = prod((prob_formula(f, c).value for f, c in zip(factors, split(int(x) % n))),
-                 start=ProbFraction(1, 1))
-    return FormulaResult(value, "zn",
-                         {"n": n, "factors": dict(factor_prime_power(f.n) for f in factors)})
+    return FormulaResult(prob_formula(ring, int(x) % n).value, "zn",
+                         {"n": n, "factors": _factorize(n)})
 
 
 def corollary_43_predicates(ring: Ring) -> tuple[bool, bool, bool, bool]:
@@ -242,15 +238,17 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
         if rank == ring.k:
             return prob_unit_formula(ring)
         return prob_matrix_formula(MatrixClass(q=ring.q, dim=ring.k, rank=rank))
-    if isinstance(ring, ProductRing):
+    inv = invariants(ring)
+    if not inv.is_local and (factored := components(ring)) is not None:
+        # a product, or a composite Z_n by CRT (a local ring never splits):
         # each factor tests its own component for a unit, once
-        parts = [prob_formula(f, c) for f, c in zip(ring.factors, ring.decode(xi))]
+        factors, split = factored
+        parts = [prob_formula(f, c) for f, c in zip(factors, split(xi))]
         tags = [part.formula for part in parts]
         if all(tag == "unit" for tag in tags):
             return prob_unit_formula(ring)
         value = prod((part.value for part in parts), start=ProbFraction(1, 1))
         return FormulaResult(value, "product", {"components": tags})
-    inv = invariants(ring)
     if inv.is_unit(xi):
         return prob_unit_formula(ring)
     if inv.is_max_chain:

@@ -23,7 +23,7 @@ from .recipe import Invariants, invariants, matrix_rank
 from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement, check_size_cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbFraction:
     """An exact probability as (hit count, total); reduced only on display."""
 
@@ -185,8 +185,11 @@ def _class_label(ring: Ring, inv: Invariants, index: int) -> str:
 
 
 def spectrum(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> SpectrumReport:
-    """Group elements into classes of equal probability and shared label."""
+    """Group elements into classes of equal probability and shared label;
+    memoized on the ring instance."""
     counts = pair_counts(ring, cap)
+    if ring._spectrum is not None:
+        return ring._spectrum
     inv = invariants(ring)
     total = ring.size ** 2
     groups: dict[tuple[str, int], list[int]] = {}
@@ -201,4 +204,5 @@ def spectrum(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> SpectrumReport:
         for (label, hits), (size, rep) in groups.items()
     ]
     entries.sort(key=lambda e: e.representative)
-    return SpectrumReport(ring=ring, counts=counts, entries=tuple(entries))
+    ring._spectrum = SpectrumReport(ring=ring, counts=counts, entries=tuple(entries))
+    return ring._spectrum

@@ -19,10 +19,8 @@ answers them without building a table or enumerating anything:
 
 `components(ring)` alone splits a ring into direct factors: a product into
 its factors, a composite Z_n into its Z_{p^e} by CRT; both read their
-invariants from these.  `closedform.prob_zn` multiplies the components'
-closed forms, but dispatch does not split a composite Z_n yet: engine-warm
-in perfbench keeps every answer to the end, so there the faster answers
-read as a memory regression until that harness bounds what it keeps.
+invariants from these, and closed-form dispatch multiplies the
+components' closed forms.
 
 Table rings, quotient rings and any other polynomial quotient read the
 same answers off `structure_report`, the enumeration oracle, so each ring

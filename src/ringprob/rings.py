@@ -2,24 +2,25 @@
 
 Every construction assigns each element an index in [0, |R|) with index 0
 the additive zero.  All arithmetic is exact integer arithmetic on indices;
-rings at or below DEFAULT_SIZE_CAP elements build full add/mul tables on
-the first table access (add_row, mul_row or an *_index call), so a query
-that never enumerates builds none.  A quotient ring is the exception: its
-mul rows are set at construction (R/{0} shares its parent's, any other
-quotient keeps those its coset check gathers), and its add rows and
-negation list are built on the first additive access.  Each table is
-assigned whole, so threads racing on a first access may each build it,
-with equal results.
+rings at or below DEFAULT_SIZE_CAP build two tables lazily, each whole:
+the mul rows on the first multiplicative access (mul_row, mul_column,
+mul_index) and the add rows with the negation list on the first additive
+one (add_row, add_index, neg_index), so a query that never enumerates
+builds neither.  A quotient ring sets its mul rows at construction (R/{0}
+shares its parent's, any other quotient keeps those its coset check
+gathers).  Threads racing on a first access may each build a table, with
+equal results.
 
 Additive presentation.  Each ring lists its summands, slowest first: an
 int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
 through that ring's own operations.  An element index is exactly its
 mixed-radix digit vector over these radices, so addition and negation
-work digit by digit, and one builder (Ring._build_tables) derives both
-tables from them plus _mul on (digit element, additive generator) pairs
-only.  A table ring copies its given tables and a quotient ring reads its
-tables off its parent's; each is one opaque digit of any ring built over
-it.
+work digit by digit.  Ring._build_add_rows derives the add rows from
+them, and Ring._build_mul_rows the mul rows from those plus _mul on
+(digit element, additive generator) pairs only; a ring of one cyclic
+digit (Z_n, GF(p)) needs no add rows for its mul rows.  A table ring
+copies its given tables and a quotient ring reads its tables off its
+parent's; each is one opaque digit of any ring built over it.
 
 Radices per construction, slowest digit first (q = p^r):
   ZMod(n)              (n,)             index = residue
@@ -44,6 +45,7 @@ from __future__ import annotations
 import json
 from array import array
 from functools import reduce
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -72,7 +74,7 @@ TABLE_RING_CAP = 256
 
 
 def _row_typecode(size: int) -> str:
-    return "H" if size <= 65536 else "l"
+    return "B" if size <= 256 else "H" if size <= 65536 else "l"
 
 
 class Ring:
@@ -88,13 +90,14 @@ class Ring:
     def _init_tables(self) -> None:
         self._hash: int | None = None
         self._commutative: bool | None = None
-        # per-ring memos of structure_report, pair_counts and invariants
+        # per-ring memos of structure_report, invariants, pair_counts and spectrum
         self._structure = None
         self._invariants = None
         self._pair_counts: tuple[int, ...] | None = None
+        self._spectrum = None
         self._mul_rows: list[array] | None = None
         self._add_rows: list[array] | None = None
-        self._neg_list: list[int] | None = None
+        self._neg_list: array | None = None
         # (stride, radix, opaque ring or None), fastest digit first
         self._digits: list[tuple[int, int, Ring | None]] = []
         stride = 1
@@ -105,44 +108,33 @@ class Ring:
             stride *= m
         self._cyclic = self.summands == (self.size,)
 
-    def _tables(self) -> bool:
-        """Build the add/mul tables and the negation list on first use;
-        False for a ring above DEFAULT_SIZE_CAP, which computes per call.
+    def _mul_table(self) -> bool:
+        """Build the mul rows on the first multiplicative access; False for
+        a ring above DEFAULT_SIZE_CAP, which computes per call."""
+        if self._mul_rows is None:
+            if self.size > DEFAULT_SIZE_CAP:
+                return False
+            self._mul_rows = self._build_mul_rows()
+        return True
 
-        Each is assigned whole and the add rows last, so a ring whose add
-        rows are set has all three; threads racing on the first use may
-        each build them, with equal results.  A quotient sets its mul rows
-        at construction, and this builds its add rows and negation list."""
+    def _add_table(self) -> bool:
+        """Build the add rows and the negation list on the first additive
+        access, the list first, so a ring whose add rows are set has both."""
         if self._add_rows is None:
             if self.size > DEFAULT_SIZE_CAP:
                 return False
-            add_rows, mul_rows = self._build_tables()
-            self._neg_list = [self._neg(i) for i in range(self.size)]
-            self._mul_rows = mul_rows
-            self._add_rows = add_rows
+            self._neg_list = array(_row_typecode(self.size), map(self._neg, range(self.size)))
+            self._add_rows = self._build_add_rows()
         return True
 
-    def _build_tables(self) -> tuple[list[array], list[array]]:
-        """(add rows, mul rows) from the additive presentation.
+    def _build_add_rows(self) -> list[array]:
+        """Add rows from the additive presentation.
 
         Add row a: let v be a's slowest nonzero digit, at stride s, and
         rest = a - v*s, whose row is already built.  Then a + x = rest +
         (x + v*s), and x -> x + v*s only permutes stride-s slices within
         each run of radix*s indices (a rotation for a cyclic digit), so the
-        row is rest's row re-sliced.
-
-        Column g, a -> a*g, for each additive generator g: a*g = (v*s)*g +
-        rest*g, and the a led by v*s are v*s + y for y < s, so the column
-        grows digit by digit, fastest first, with col[v*s + y] = (v*s)*g +
-        col[y].
-
-        Mul row a grows digit by digit, fastest first: once row[0:s) is
-        known, row[c*s + y] = a*(c*e) + row[y] for each value c of the digit
-        at stride s, where a*(c*e) is c*(a*e) for a cyclic digit and a
-        column entry for an opaque one.  So _mul runs only on (v*s,
-        generator) pairs, at most len(additive_generators()) * sum(m - 1)
-        calls, never on all pairs.
-        """
+        row is rest's row re-sliced."""
         n = self.size
         code = _row_typecode(n)
         add_rows = [array(code, range(n))]
@@ -161,6 +153,39 @@ class Ring:
                 for lo, hi in cuts:
                     row += prev[base + lo:base + hi]
             add_rows.append(row[:])     # an exact-size copy drops the slack += leaves
+        return add_rows
+
+    def _build_mul_rows(self) -> list[array]:
+        """Mul rows; only a ring of one cyclic digit skips the add rows.
+
+        There 1 generates the additive group, so a*b = (a*e)*b mod n with
+        e = 1*1, and row a repeats its first n / gcd(a*e, n) entries.
+
+        Any other ring builds its add rows first.  Column g, a -> a*g, for
+        each additive generator g: a*g = (v*s)*g + rest*g, and the a led by
+        v*s are v*s + y for y < s, so the column grows digit by digit,
+        fastest first, with col[v*s + y] = (v*s)*g + col[y].
+
+        Mul row a grows digit by digit, fastest first: once row[0:s) is
+        known, row[c*s + y] = a*(c*e) + row[y] for each value c of the digit
+        at stride s, where a*(c*e) is c*(a*e) for a cyclic digit and a
+        column entry for an opaque one.  So _mul runs only on (v*s,
+        generator) pairs, at most len(additive_generators()) * sum(m - 1)
+        calls, never on all pairs.
+        """
+        n = self.size
+        code = _row_typecode(n)
+        if self._cyclic:
+            e = self._mul(1, 1)
+            rows = []
+            for a in range(n):
+                c = a * e % n
+                period = n // gcd(c, n)
+                head = [x % n for x in range(0, c * period, c)] if c else [0]
+                rows.append(array(code, head) * (n // period))
+            return rows
+        self._add_table()
+        add_rows = self._add_rows
         cols = {}
         for g in self.additive_generators():
             col = cols[g] = [0]
@@ -184,7 +209,7 @@ class Ring:
                     prods = [cols[c * stride][a] for c in range(1, m)]
                     row += [add_rows[x][y] for x in prods for y in row]
             mul_rows.append(array(code, row))
-        return add_rows, mul_rows
+        return mul_rows
 
     # -- arithmetic: addition and negation digit by digit, _mul per class ----
 
@@ -225,7 +250,7 @@ class Ring:
     def additive_generators(self) -> list[int]:
         """Elements whose sums give every element, fastest digit first: the
         unit vector of each cyclic digit and every nonzero value of each
-        opaque digit, i.e. the elements _build_tables multiplies by."""
+        opaque digit, i.e. the elements _build_mul_rows multiplies by."""
         return [g for stride, m, opaque in self._digits
                 for g in ([stride] if opaque is None else range(stride, m * stride, stride))]
 
@@ -253,7 +278,7 @@ class Ring:
     def add_index(self, i: int, j: int) -> int:
         rows = self._add_rows
         if rows is None:
-            if not self._tables():
+            if not self._add_table():
                 return self._add(i, j)
             rows = self._add_rows
         return rows[i][j]
@@ -261,7 +286,7 @@ class Ring:
     def mul_index(self, i: int, j: int) -> int:
         rows = self._mul_rows
         if rows is None:
-            if not self._tables():
+            if not self._mul_table():
                 return self._mul(i, j)
             rows = self._mul_rows
         return rows[i][j]
@@ -269,25 +294,25 @@ class Ring:
     def neg_index(self, i: int) -> int:
         neg = self._neg_list
         if neg is None:
-            if not self._tables():
+            if not self._add_table():
                 return self._neg(i)
             neg = self._neg_list
         return neg[i]
 
     def mul_row(self, i: int) -> Sequence[int]:
         """Row i of the multiplication table: [i*0, i*1, ..., i*(n-1)]."""
-        if self._mul_rows is not None or self._tables():
+        if self._mul_rows is not None or self._mul_table():
             return self._mul_rows[i]
         return array(_row_typecode(self.size), [self._mul(i, j) for j in range(self.size)])
 
     def mul_column(self, j: int) -> list[int]:
         """Column j of the multiplication table: [0*j, 1*j, ..., (n-1)*j]."""
-        if self._mul_rows is not None or self._tables():
+        if self._mul_rows is not None or self._mul_table():
             return list(map(itemgetter(j), self._mul_rows))
         return [self._mul(i, j) for i in range(self.size)]
 
     def add_row(self, i: int) -> Sequence[int]:
-        if self._add_rows is not None or self._tables():
+        if self._add_rows is not None or self._add_table():
             return self._add_rows[i]
         return array(_row_typecode(self.size), [self._add(i, j) for j in range(self.size)])
 
@@ -419,8 +444,13 @@ def entry_ops(ring: Ring, inner: Ring) -> tuple[Callable, Callable, Callable]:
 
 def _wrap_entry(text: str) -> str:
     """An entry's literal inside a composite literal: parenthesised when it
-    is itself a coefficient list."""
-    return f"({text})" if "," in text else text
+    is itself a list, i.e. has a comma outside every bracket pair."""
+    depth = 0
+    for ch in text:
+        depth += (ch in "([") - (ch in ")]")
+        if ch == "," and not depth:
+            return f"({text})"
+    return text
 
 
 class MatrixRing(Ring):
@@ -670,13 +700,8 @@ class ProductRing(Ring):
         return ("product",) + tuple(f.key() for f in self.factors)
 
     def format_element(self, i):
-        parts = []
-        for f, c in zip(self.factors, self.decode(i)):
-            text = f.format_element(c)
-            if "," in text and not (text.startswith("(") or text.startswith("[")):
-                text = f"({text})"
-            parts.append(text)
-        return "(" + ",".join(parts) + ")"
+        return "(" + ",".join(_wrap_entry(f.format_element(c))
+                              for f, c in zip(self.factors, self.decode(i))) + ")"
 
 
 class TableRing(Ring):
@@ -745,10 +770,11 @@ class TableRing(Ring):
                     if mul[add[j][k]][i] != add[mul[j][i]][mul[k][i]]:
                         raise ValidationError("right distributivity fails")
 
-    def _build_tables(self) -> tuple[list[array], list[array]]:
-        code = _row_typecode(self.size)
-        return ([array(code, row) for row in self._table_add],
-                [array(code, row) for row in self._table_mul])
+    def _build_add_rows(self) -> list[array]:
+        return [array(_row_typecode(self.size), row) for row in self._table_add]
+
+    def _build_mul_rows(self) -> list[array]:
+        return [array(_row_typecode(self.size), row) for row in self._table_mul]
 
     def _add(self, i, j):
         return self._table_add[i][j]
@@ -817,13 +843,12 @@ class QuotientRing(Ring):
             # R/{0}: cosets are single elements, so the check compares rows with themselves
             self._mul_rows = list(map(parent.mul_row, range(pn)))
 
-    def _build_tables(self) -> tuple[list[array], list[array]]:
+    def _build_add_rows(self) -> list[array]:
         # Cosets add through their representatives: row i is the parent's
         # add row of representative i, read at every representative and
         # mapped to cosets.  The mul rows were set at construction.
         code, cmap, reps = _row_typecode(self.size), self._cmap, self._reps
-        return ([array(code, [cmap[row[r]] for r in reps]) for row in map(self.parent.add_row, reps)],
-                self._mul_rows)
+        return [array(code, [cmap[row[r]] for r in reps]) for row in map(self.parent.add_row, reps)]
 
     def _assert_well_defined(self, cosets: list[list[int]]) -> list[array] | None:
         """cmap[x*y] == cmap[rep(x)*rep(y)] for every parent pair, compared

@@ -259,10 +259,11 @@ def parse_element(ring: Ring, text: str) -> RingElement:
         return ring.element(ring.encode(tuple(rows)))
 
     if isinstance(ring, PolyQuotientRing):
-        # parentheses belong to individual coefficients over extension-field
-        # bases; over Z_n (a field or Galois ring) one outer pair may wrap
-        # the whole list, as in the entry (1,1) of a matrix over GF4
-        if isinstance(ring.base, ZModRing) and _encloses(text):
+        # one outer pair may wrap the whole list, as in the entry (1,1) of
+        # a matrix over GF4 or the chain(4,2) factor ((1,0),(0,1)) of a
+        # product; over an extension-field base, whose coefficients are
+        # themselves parenthesised, (0,1) is one coefficient
+        if _encloses(text) and (ring.base._cyclic or text[1:].lstrip().startswith("(")):
             text = text[1:-1]
         coeffs_text = _split_top(text)
         if len(coeffs_text) > ring.degree:

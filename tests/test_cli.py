@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ringprob import cli
 from ringprob.cli import main
+from ringprob.corpus import fixture_path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -59,10 +61,22 @@ class TestProb:
         assert (payload["hits"], payload["total"]) == (18, 256)
 
     def test_formula_method_unavailable_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "prob", "--ring", "Z6", "--x", "2",
-                               "--method", "formula")
+        # the upper-triangular table ring is indecomposable, not local and
+        # has J != 0, so its non-units have no closed form
+        code, _, err = run_cli(capsys, "prob", "--ring", f"table:{fixture_path()}",
+                               "--x", "#0", "--method", "formula")
         assert code == 2
         assert "no closed form" in err
+
+    def test_composite_zn_formula_is_answered_by_crt(self, capsys):
+        values = {}
+        for method in ("formula", "brute"):
+            code, out, _ = run_cli(capsys, "prob", "--ring", "Z6", "--x", "2",
+                                   "--method", method)
+            assert code == 0
+            payload = json.loads(out)
+            values[method] = (payload["hits"], payload["total"])
+        assert values["formula"] == values["brute"] == (6, 36)
 
     def test_non_prime_power_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "prob", "--ring", "GF6", "--x", "0")
@@ -338,9 +352,11 @@ class TestMalformedInput:
 
     def test_large_semiprime_order(self):
         """Z_n with n = (10^9+7)(10^9+9): the order splits by Pollard's rho,
-        so a unit answers with the unit formula and 0 reaches the
-        enumeration limit at once; trial division would run to 10^9."""
-        n = (10 ** 9 + 7) * (10 ** 9 + 9)
+        so a unit answers with the unit formula, 0 with the product of the
+        two fields' closed forms, and brute enumeration reaches the limit
+        at once; trial division would run to 10^9."""
+        p, q = 10 ** 9 + 7, 10 ** 9 + 9
+        n = p * q
         env = dict(os.environ, PYTHONPATH=SRC)
         argv = [sys.executable, "-m", "ringprob.cli", "prob", "--ring", f"Z{n}", "--force"]
         proc = subprocess.run([*argv, "--x", "1", "--explain"],
@@ -349,7 +365,14 @@ class TestMalformedInput:
         payload = json.loads(proc.stdout)
         units = (10 ** 9 + 6) * (10 ** 9 + 8)
         assert (payload["method"], payload["hits"], payload["total"]) == ("unit", units, n * n)
-        proc = subprocess.run([*argv, "--x", "0"],
+        proc = subprocess.run([*argv, "--x", "0", "--explain"],
+                              capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["method"] == "product"
+        assert Fraction(payload["hits"], payload["total"]) == \
+            Fraction((2 * p - 1) * (2 * q - 1), n * n)
+        proc = subprocess.run([*argv, "--x", "0", "--method", "brute"],
                               capture_output=True, text=True, timeout=20, env=env)
         assert proc.returncode == 3 and proc.stdout == ""
         assert "above the enumeration limit" in proc.stderr

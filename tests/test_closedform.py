@@ -404,16 +404,19 @@ class TestDispatch:
         assert prob_auto(zmod(8), 2).formula == "chain"
 
     def test_only_the_fallback_meets_the_enumeration_limit(self):
-        # GF65537 has a closed form above the limit; Z(2 * 65537) has
-        # none, so its annihilator-sum fallback and its structure report
-        # are refused before any work starts
+        # GF65537 has a closed form above the limit; the table fixture
+        # times Z8209 (65672 elements) has none at 0, so its
+        # annihilator-sum fallback and its structure report are refused
+        # before any work starts
         result = prob_auto(field_ring(65537), 0, cap=None)
         assert result.formula == "chain"
         assert result.value == ProbFraction(2 * 65537 - 1, 65537 ** 2)
+        ring = parse_ring_spec(f"table:{fixture_path()} x Z8209")
+        assert ring.size == 65672
         with pytest.raises(EnumerationLimitExceeded):
-            prob_auto(zmod(2 * 65537), 0, cap=None)
+            prob_auto(ring, 0, cap=None)
         with pytest.raises(EnumerationLimitExceeded):
-            structure_report(zmod(2 * 65537))
+            structure_report(ring)
 
     def test_j2zero(self):
         assert prob_auto(trivial_extension(2, 2), 1).formula == "j2zero"
@@ -460,9 +463,19 @@ class TestDispatch:
             assert got.value == prob_brute(ring, x)
 
     def test_annsum_fallback(self):
-        result = prob_auto(zmod(6), 2)
+        # the upper-triangular table ring: indecomposable, not local, J != 0
+        table = parse_ring_spec(f"table:{fixture_path()}")
+        result = prob_auto(table, 0)
         assert result.formula == "annsum"
-        assert result.value == prob_brute(zmod(6), 2)
+        assert result.value == prob_brute(table, 0)
+
+    def test_composite_zn_dispatches_by_crt(self):
+        ring = zmod(1000)
+        result = prob_auto(ring, 10)
+        assert result.formula == "product"
+        assert result.applicability == {"components": ["chain", "chain"]}
+        assert result.value == prob_brute(ring, 10)
+        assert prob_auto(ring, 3).formula == "unit"
 
     def test_formula_unavailable(self):
         _, table = [m for m in default_corpus() if m[0].startswith("table:")][0]

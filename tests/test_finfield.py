@@ -356,10 +356,14 @@ class TestLazyTables:
 
     @pytest.mark.parametrize("op, args", [("add", (3, 5)), ("mul", (3, 5)), ("neg", (3,))])
     def test_built_on_first_operation(self, op, args):
+        """An additive access builds the add rows and the negation list
+        only; a multiplicative one builds the mul rows, which GF27, having
+        three digits, derives from its add rows."""
         gf = field_ring(27)
         assert (gf._add_rows, gf._mul_rows, gf._neg_list) == (None, None, None)
         assert getattr(gf, f"{op}_index")(*args) == getattr(gf, f"_{op}")(*args)
-        assert gf._mul_rows is not None and gf._add_rows is not None
+        assert gf._add_rows is not None and gf._neg_list is not None
+        assert (gf._mul_rows is not None) == (op == "mul")
 
     def test_never_built_above_the_cap(self):
         gf = field_ring(3 ** 8)

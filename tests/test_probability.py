@@ -162,7 +162,8 @@ class TestEngineEquivalence:
 
 
 class TestMemo:
-    """structure_report and pair_counts memoize on the ring instance."""
+    """structure_report, pair_counts and spectrum memoize on the ring
+    instance."""
 
     def test_repeat_calls_return_the_memo(self):
         ring = zmod(64)
@@ -175,12 +176,20 @@ class TestMemo:
         assert pair_counts(first) == pair_counts(second)
         assert pair_counts(first) is not pair_counts(second)
 
+    def test_spectrum_is_memoized(self):
+        ring = zmod(72)
+        assert spectrum(ring) is spectrum(ring)
+        assert spectrum(ring) == spectrum(zmod(72))
+        with pytest.raises(SizeCapExceeded):
+            spectrum(ring, cap=64)          # the memo does not lift the cap
+
     def test_memo_does_not_keep_the_ring_alive(self):
         # Z62 is built nowhere else in the suite, so no equal ring can
         # stand in for this instance in a cache keyed by ring equality.
         ring = zmod(62)
         structure_report(ring)
         pair_counts(ring)
+        spectrum(ring)
         ref = weakref.ref(ring)
         del ring
         gc.collect()

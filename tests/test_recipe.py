@@ -19,6 +19,7 @@ from ringprob.rings import (
     PolyQuotientRing,
     ProductRing,
     Ring,
+    ZModRing,
     chain_ring,
     field_ring,
     matrix_ring,
@@ -201,15 +202,14 @@ def table_work(monkeypatch):
     """Counts ring table builds, index-level ring operations (field entry
     ops among them) and structure_report calls."""
     counts = {"ring tables": 0, "index ops": 0, "structure_report": 0}
-    ring_tables = Ring._tables
+    for name, attr in (("_add_table", "_add_rows"), ("_mul_table", "_mul_rows")):
+        def counted_table(self, _build=getattr(Ring, name), _attr=attr):
+            built = getattr(self, _attr) is None
+            ok = _build(self)
+            counts["ring tables"] += built and getattr(self, _attr) is not None
+            return ok
 
-    def counted_tables(self):
-        built = self._add_rows is None
-        ok = ring_tables(self)
-        counts["ring tables"] += built and self._add_rows is not None
-        return ok
-
-    monkeypatch.setattr(Ring, "_tables", counted_tables)
+        monkeypatch.setattr(Ring, name, counted_table)
     for name in ("add_index", "mul_index", "neg_index"):
         op = getattr(Ring, name)
 
@@ -294,6 +294,19 @@ PAIR_SPECS = sorted({spec for spec, _ in PAIRS} - CORPUS_SPECS)
 SPECS = ATOM_SPECS + PAIR_SPECS
 
 
+def prime_powers(n: int) -> list[int]:
+    """The prime-power factors p^e of n, by trial division."""
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0:
+            out.append(1)
+            while n % p == 0:
+                out[-1] *= p
+                n //= p
+        p += 1
+    return out
+
+
 def structure_rule_applies(ring: Ring, xi: int) -> bool:
     """The closed-form dispatch rule as the structure report states it."""
     report = structure_report(ring)
@@ -303,6 +316,9 @@ def structure_rule_applies(ring: Ring, xi: int) -> bool:
         return True
     if isinstance(ring, ProductRing):
         return all(structure_rule_applies(f, c) for f, c in zip(ring.factors, ring.decode(xi)))
+    if isinstance(ring, ZModRing) and len(moduli := prime_powers(ring.n)) > 1:
+        # CRT: Z_n is the product of its Z_{p^e}, x going to x mod p^e
+        return all(structure_rule_applies(zmod(m), xi % m) for m in moduli)
     return False
 
 

@@ -550,6 +550,55 @@ class TestMemoTables:
         assert {j for _, j in calls} <= set(generators)
 
 
+class TestSplitTables:
+    """The mul rows and the add rows are built separately, each on its
+    first access; a ring of one cyclic digit builds its mul rows without
+    add rows, any other ring from them."""
+
+    @pytest.mark.parametrize("spec", [f"Z{n}" for n in range(2, 301)]
+                             + [f"GF{p}" for p in (2, 3, 13, 251, 257)])
+    def test_cyclic_mul_rows_equal_mul_at_every_pair(self, spec):
+        ring = parse_ring_spec(spec)
+        assert ring._cyclic
+        n = ring.size
+        for i in range(n):
+            assert list(ring.mul_row(i)) == [ring._mul(i, j) for j in range(n)]
+        assert ring._add_rows is None and ring._neg_list is None
+
+    def test_cyclic_mul_access_leaves_add_rows_unbuilt(self):
+        ring = zmod(1024)
+        ring.mul_row(0)
+        assert ring._mul_rows is not None
+        assert ring._add_rows is None and ring._neg_list is None
+        assert ring.add_index(1000, 30) == 6
+        assert ring._add_rows is not None and ring._neg_list is not None
+
+    @pytest.mark.parametrize("spec", ["GF8", "M2(GF2)", "chain(2,3)", "Z2 x Z4"])
+    def test_non_cyclic_mul_access_builds_both(self, spec):
+        ring = parse_ring_spec(spec)
+        assert (ring._add_rows, ring._mul_rows, ring._neg_list) == (None, None, None)
+        ring.mul_index(1, 1)
+        assert ring._add_rows is not None and ring._mul_rows is not None
+        assert ring._neg_list is not None
+
+    @pytest.mark.parametrize("ring_factory, typecode", [
+        (lambda: parse_ring_spec(f"table:{fixture_path()}"), "B"),
+        (lambda: quotient_make(chain_ring(2, 4), [0, 8]), "B"),
+        (lambda: quotient_make(chain_ring(2, 10), [0, 512]), "H"),
+        (lambda: quotient_make(zmod(600), range(0, 600, 2)), "B"),
+        (lambda: quotient_make(zmod(600), [0, 300]), "H"),
+    ], ids=["table", "chain(2,4)/I", "chain(2,10)/I", "Z600/2", "Z600/300"])
+    def test_byte_and_short_rows_agree_with_ops(self, ring_factory, typecode):
+        ring = ring_factory()
+        n = ring.size
+        assert (n <= 256) == (typecode == "B")
+        for i in range(n):
+            add, mul = ring.add_row(i), ring.mul_row(i)
+            assert add.typecode == mul.typecode == typecode
+            assert list(add) == [ring._add(i, j) for j in range(n)]
+            assert list(mul) == [ring._mul(i, j) for j in range(n)]
+
+
 PER_CALL_SPECS = [
     "Z12", "GF9", "M2(GF2)", "chain(2,3)", "GR(2,2,2)", "triv(2,2)", "Z2 x Z4",
     "Z3 x M1(GF4)", "table:<fixture>", "table:<fixture> x Z2",

@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringprob.corpus import default_corpus
+from ringprob.corpus import default_corpus, fixture_path
 from ringprob.errors import ParseError, SizeCapExceeded, ValidationError
 from ringprob.rings import (
     MatrixRing,
@@ -214,3 +216,59 @@ class TestElementLiterals:
                      trivial_extension(4, 1), parse_ring_spec("GF4 x Z3")):
             for i in range(ring.size):
                 assert parse_element(ring, ring.format_element(i)).index == i
+
+
+# ---------------------------------------------------------------------------
+# Grammar fuzzing: generated specs and literals, some of them mutated,
+# either parse and round-trip or are refused with ParseError/ValidationError
+# ---------------------------------------------------------------------------
+
+_SMALL = st.integers(0, 300)
+_ATOM = st.one_of(
+    st.builds("Z{}".format, _SMALL),
+    st.builds("GF{}".format, _SMALL),
+    st.builds("M{}(GF{})".format, st.integers(0, 3), st.integers(0, 16)),
+    st.builds("chain({},{})".format, st.integers(0, 16), st.integers(0, 4)),
+    st.builds("GR({},{},{})".format, st.integers(0, 7), st.integers(0, 3), st.integers(0, 3)),
+    st.builds("triv({},{})".format, st.integers(0, 16), st.integers(0, 3)),
+    st.just(f"table:{fixture_path()}"),
+)
+_NOISE = "ZGFMx(),:# []-0123456789"
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """text, or text with up to three single-character edits."""
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        ch = draw(st.sampled_from(_NOISE))
+        if op == "insert":
+            text = text[:pos] + ch + text[pos:]
+        else:
+            text = text[:pos] + (ch if op == "replace" else "") + text[pos + 1:]
+    return text
+
+
+def _parse_or_refuse(parse, *args):
+    try:
+        return parse(*args)
+    except (ParseError, ValidationError):
+        return None
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzzed_specs_and_literals_parse_or_refuse(data):
+    atoms = data.draw(st.lists(_ATOM, min_size=1, max_size=3), label="atoms")
+    spec = data.draw(_mutated(" x ".join(atoms)), label="spec")
+    ring = _parse_or_refuse(parse_ring_spec, spec)
+    if ring is None:
+        return
+    assert parse_ring_spec(ring.describe()) == ring
+    i = data.draw(st.integers(0, ring.size - 1), label="index")
+    assert parse_element(ring, ring.format_element(i)).index == i
+    literal = data.draw(_mutated(ring.format_element(i)), label="literal")
+    element = _parse_or_refuse(parse_element, ring, literal)
+    if element is not None:
+        assert parse_element(ring, ring.format_element(element.index)) == element

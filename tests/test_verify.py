@@ -266,16 +266,17 @@ class TestSharedWork:
 
     def test_matrix_tables_built_once_per_run(self, tmp_path, monkeypatch):
         # no spec cache outlives a run, so each run builds its own instances
+        # and builds each of its two tables once
         builds = Counter()
-        build = Ring._build_tables
+        for name in ("_build_add_rows", "_build_mul_rows"):
+            def counting(ring, _name=name, _build=getattr(Ring, name)):
+                builds[ring.describe(), _name] += 1
+                return _build(ring)
 
-        def counting(ring):
-            builds[ring.describe()] += 1
-            return build(ring)
-
-        monkeypatch.setattr(MatrixRing, "_build_tables", counting)
+            monkeypatch.setattr(MatrixRing, name, counting)
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(["M3(GF2)", "M2(GF3)"]))
         results = run_suites(None, corpus_from_file(str(path)))
         assert all(r.passed for r in results)
-        assert builds["M3(GF2)"] == 1 and builds["M2(GF3)"] == 1
+        assert all(builds[spec, name] == 1 for spec in ("M3(GF2)", "M2(GF3)")
+                   for name in ("_build_add_rows", "_build_mul_rows"))
