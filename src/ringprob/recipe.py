@@ -97,8 +97,6 @@ def _rho(n: int) -> int:
 def _valuation(x: int, p: int) -> int:
     """Exponent of p in a nonzero x: its radical layer in Z_{p^e} or in
     chain(p, e), whose elements are base-p digit strings of coefficients."""
-    if not x:
-        raise ValueError(_LAYER_OF_ZERO)
     v = 0
     while not x % p:
         x //= p
@@ -108,8 +106,6 @@ def _valuation(x: int, p: int) -> int:
 
 def _semisimple_layer(x: int) -> int:
     """Layer in a ring with J = 0: every nonzero element is at layer 0."""
-    if not x:
-        raise ValueError(_LAYER_OF_ZERO)
     return 0
 
 
@@ -158,7 +154,7 @@ class Invariants:
     J^(t-1) != 0).  source names where the answers come from: "recipe" or
     "structure report"."""
 
-    __slots__ = ("unit_count", "is_local", "q", "n", "t", "is_unit", "radical_layer",
+    __slots__ = ("unit_count", "is_local", "q", "n", "t", "is_unit", "_layer",
                  "source", "is_max_chain", "is_j2_zero")
 
     def __init__(self, unit_count: int, is_local: bool, q: int | None, n: int | None,
@@ -170,10 +166,15 @@ class Invariants:
         self.n = n
         self.t = t
         self.is_unit = is_unit
-        self.radical_layer = radical_layer
+        self._layer = radical_layer
         self.source = source
         self.is_max_chain = is_local and t == n
         self.is_j2_zero = t <= 2
+
+    def radical_layer(self, i: int) -> int:
+        if not i:
+            raise ValueError(_LAYER_OF_ZERO)
+        return self._layer(i)
 
 
 def invariants(ring: Ring) -> Invariants:
@@ -221,7 +222,7 @@ def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
         return g
 
     return _local(s ** d - p ** ((k - 1) * d), p ** d, k, k,
-                  lambda i: content(i) == 1, lambda i: _valuation(content(i) if i else 0, p))
+                  lambda i: content(i) == 1, lambda i: _valuation(content(i), p))
 
 
 def components(ring: Ring) -> tuple[tuple[Ring, ...], Callable[[int], tuple]] | None:
@@ -244,8 +245,6 @@ def _product(factors: tuple[Ring, ...], split: Callable[[int], tuple]) -> Invari
         return all(f.is_unit(c) for f, c in zip(parts, split(i)))
 
     def layer(i):
-        if not i:
-            raise ValueError(_LAYER_OF_ZERO)
         return min(f.radical_layer(c) for f, c in zip(parts, split(i)) if c)
 
     return Invariants(prod(f.unit_count for f in parts), False, None, None,
@@ -254,13 +253,7 @@ def _product(factors: tuple[Ring, ...], split: Callable[[int], tuple]) -> Invari
 
 def _trivial_extension(q: int, m: int) -> Invariants:
     qm = q ** m             # index of (1, 0): units are exactly the indices >= qm
-
-    def layer(i):
-        if not i:
-            raise ValueError(_LAYER_OF_ZERO)
-        return 0 if i >= qm else 1
-
-    return _local((q - 1) * qm, q, m + 1, 2, lambda i: i >= qm, layer)
+    return _local((q - 1) * qm, q, m + 1, 2, lambda i: i >= qm, lambda i: 0 if i >= qm else 1)
 
 
 def _from_recipe(ring: Ring) -> Invariants | None:

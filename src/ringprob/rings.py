@@ -18,8 +18,8 @@ mixed-radix digit vector over these radices, so addition and negation
 work digit by digit.  Ring._build_add_rows derives the add rows from
 them, and Ring._build_mul_rows the mul rows from those plus _mul on
 (digit element, additive generator) pairs only; a ring of one cyclic
-digit (Z_n, GF(p)) needs no add rows for its mul rows.  A table ring
-copies its given tables and a quotient ring reads its tables off its
+digit (Z_n, GF(p)) needs no add rows for its mul rows.  A table ring's
+tables are its rows and a quotient ring reads its tables off its
 parent's; each is one opaque digit of any ring built over it.
 
 Radices per construction, slowest digit first (q = p^r):
@@ -52,7 +52,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import (
     EnumerationLimitExceeded,
     ImproperIdeal,
-    MixedRings,
     NotAnIdeal,
     SizeCapExceeded,
     ValidationError,
@@ -69,7 +68,7 @@ DEFAULT_SIZE_CAP = 4096
 # that, while cheap closed forms answer rings up to 2^4096 elements.
 ENUMERATION_LIMIT = 2 ** 16
 
-# Explicit Cayley-table rings are audited in O(N^3); keep them small.
+# Cayley-table rings: one-byte rows up to here, audited at load in O(N^2 log N).
 TABLE_RING_CAP = 256
 
 
@@ -242,11 +241,6 @@ class Ring:
     def _mul(self, i: int, j: int) -> int:
         raise NotImplementedError
 
-    @property
-    def radices(self) -> tuple[int, ...]:
-        """Radices of the element index's digits, slowest first."""
-        return tuple(m for _, m, _ in reversed(self._digits))
-
     def additive_generators(self) -> list[int]:
         """Elements whose sums give every element, fastest digit first: the
         unit vector of each cyclic digit and every nonzero value of each
@@ -321,12 +315,6 @@ class Ring:
             raise ValidationError(f"index {i} outside [0, {self.size})")
         return RingElement(self, i)
 
-    def zero(self) -> "RingElement":
-        return RingElement(self, 0)
-
-    def one(self) -> "RingElement":
-        return RingElement(self, self.one_index)
-
     def is_commutative(self) -> bool:
         if self._commutative is None:
             n = self.size
@@ -337,7 +325,8 @@ class Ring:
         return self._commutative
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ring) and self.key() == other.key()
+        # identity first: a table ring's key() joins all its rows
+        return self is other or isinstance(other, Ring) and self.key() == other.key()
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -349,7 +338,7 @@ class Ring:
 
 
 class RingElement:
-    """An element of a concrete ring, identified by its canonical index."""
+    """The (ring, index) pair an element literal parses to."""
 
     __slots__ = ("ring", "index")
 
@@ -360,27 +349,6 @@ class RingElement:
     @property
     def form(self):
         return self.ring.decode(self.index)
-
-    def _same_ring(self, other: "RingElement") -> Ring:
-        if not isinstance(other, RingElement):
-            raise TypeError(f"expected RingElement, got {type(other).__name__}")
-        if self.ring != other.ring:
-            raise MixedRings(f"{self.ring.describe()} vs {other.ring.describe()}")
-        return self.ring
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        r = self._same_ring(other)
-        return RingElement(r, r.add_index(self.index, other.index))
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        r = self._same_ring(other)
-        return RingElement(r, r.mul_index(self.index, other.index))
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, self.ring.neg_index(self.index))
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RingElement)
@@ -705,7 +673,7 @@ class ProductRing(Ring):
 
 
 class TableRing(Ring):
-    """Ring given by explicit Cayley tables; fully audited at load."""
+    """Ring given by explicit Cayley tables, its rows once audited at load."""
 
     def __init__(self, add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]],
                  one: int, source_path: str | None = None):
@@ -714,76 +682,74 @@ class TableRing(Ring):
             raise ValidationError("table ring must have at least 2 elements")
         if n > TABLE_RING_CAP:
             raise ValidationError(f"table ring capped at {TABLE_RING_CAP} elements, got {n}")
-        add_t = tuple(tuple(int(x) for x in row) for row in add)
-        mul_t = tuple(tuple(int(x) for x in row) for row in mul)
-        self._audit(n, add_t, mul_t, one)
-        self.size = n
-        self.one_index = one
-        self._table_add = add_t
-        self._table_mul = mul_t
-        self.source_path = source_path
-        self.summands = (self,)
-        self._init_tables()
-
-    @staticmethod
-    def _audit(n: int, add, mul, one: int) -> None:
+        tables = []
         for name, tab in (("add", add), ("mul", mul)):
+            tab = [[int(x) for x in row] for row in tab]
             if len(tab) != n or any(len(row) != n for row in tab):
                 raise ValidationError(f"{name} table is not {n}x{n}")
             if any(not 0 <= x < n for row in tab for x in row):
                 raise ValidationError(f"{name} table entry out of range")
+            tables.append(tab)
+        if not 0 <= one < n:
+            raise ValidationError("designated identity index out of range")
+        self._audit(*tables, one)
+        self.size = n
+        self.one_index = one
+        self.source_path = source_path
+        self.summands = (self,)
+        self._init_tables()
+        code = _row_typecode(n)
+        self._add_rows, self._mul_rows = ([array(code, row) for row in tab] for tab in tables)
+        self._neg_list = array(code, [row.index(0) for row in tables[0]])
+
+    @staticmethod
+    def _audit(add: list[list[int]], mul: list[list[int]], one: int) -> None:
+        """Refuse tables that are not a unital ring, checking each axiom with
+        one argument an additive generator: O(n^2 d) lookups for d of them,
+        d <= log2 n once + is a group.  A generator is each nonzero index
+        that sums of earlier ones do not reach.  The g with (x+g)+y = x+(g+y)
+        contain 0 and are closed under + (Light's test; A. H. Clifford and
+        G. B. Preston, The Algebraic Theory of Semigroups I, 1961); once +
+        is an abelian group, so are the summands c of each distributive
+        law, and then the c with (ab)c = a(bc)."""
+        n = len(add)
         rng = range(n)
         if any(add[0][j] != j or add[j][0] != j for j in rng):
             raise ValidationError("element 0 is not the additive identity")
-        if any(add[i][j] != add[j][i] for i in rng for j in rng):
+        if any(add[i][j] != add[j][i] for i in rng for j in range(i)):
             raise ValidationError("addition is not commutative")
-        if any(0 not in add[i] for i in rng):
+        if any(0 not in row for row in add):
             raise ValidationError("some element has no additive inverse")
-        for i in rng:
-            ai = add[i]
-            for j in rng:
-                aij = add[i][j]
-                row_j = add[j]
-                for k in rng:
-                    if add[aij][k] != ai[row_j[k]]:
-                        raise ValidationError("addition is not associative")
-        if not 0 <= one < n:
-            raise ValidationError("designated identity index out of range")
+        gens, reached = [], set()
+        for g in range(1, n):
+            if g not in reached:
+                gens.append(g)
+                todo = [g] + [add[r][g] for r in reached]
+                while todo:
+                    if (x := todo.pop()) not in reached:
+                        reached.add(x)
+                        todo += [add[x][h] for h in gens]
+        for g in gens:
+            for ax in add:      # over y: (x+g)+y against x+(g+y)
+                if add[ax[g]] != [ax[v] for v in add[g]]:
+                    raise ValidationError("addition is not associative")
         if any(mul[one][j] != j or mul[j][one] != j for j in rng):
             raise ValidationError("designated 1 is not a two-sided identity")
         if any(mul[0][j] != 0 or mul[j][0] != 0 for j in rng):
             raise ValidationError("0 does not annihilate under multiplication")
-        for i in rng:
-            mi = mul[i]
-            for j in rng:
-                mij = mul[i][j]
-                row_j = mul[j]
-                for k in rng:
-                    if mul[mij][k] != mi[row_j[k]]:
-                        raise ValidationError("multiplication is not associative")
-        for i in rng:
-            mi = mul[i]
-            for j in rng:
-                for k in rng:
-                    if mi[add[j][k]] != add[mi[j]][mi[k]]:
-                        raise ValidationError("left distributivity fails")
-                    if mul[add[j][k]][i] != add[mul[j][i]][mul[k][i]]:
-                        raise ValidationError("right distributivity fails")
-
-    def _build_add_rows(self) -> list[array]:
-        return [array(_row_typecode(self.size), row) for row in self._table_add]
-
-    def _build_mul_rows(self) -> list[array]:
-        return [array(_row_typecode(self.size), row) for row in self._table_mul]
-
-    def _add(self, i, j):
-        return self._table_add[i][j]
-
-    def _mul(self, i, j):
-        return self._table_mul[i][j]
-
-    def _neg(self, i):
-        return self._table_add[i].index(0)
+        for g in gens:
+            ag, mg = add[g], mul[g]
+            for a, ma in enumerate(mul):    # over b: a(g+b) and (g+a)b
+                sag = add[ma[g]]
+                if [ma[v] for v in ag] != [sag[v] for v in ma]:
+                    raise ValidationError("left distributivity fails")
+                if mul[ag[a]] != [add[x][y] for x, y in zip(mg, ma)]:
+                    raise ValidationError("right distributivity fails")
+        for g in gens:
+            col = [row[g] for row in mul]
+            for ma in mul:      # over b: (ab)g against a(bg)
+                if [col[v] for v in ma] != [ma[v] for v in col]:
+                    raise ValidationError("multiplication is not associative")
 
     def decode(self, i):
         return i
@@ -795,7 +761,7 @@ class TableRing(Ring):
         return f"table:{self.source_path}" if self.source_path else f"table:<{self.size} elements>"
 
     def key(self):
-        return ("table", self.one_index, self._table_add, self._table_mul)
+        return ("table", self.one_index, b"".join(map(bytes, self._add_rows + self._mul_rows)))
 
 
 class QuotientRing(Ring):
@@ -881,9 +847,6 @@ class QuotientRing(Ring):
     def coset_index_of(self, parent_index: int) -> int:
         """Quotient index of the coset containing a parent element."""
         return self._cmap[parent_index]
-
-    def representative(self, i: int) -> int:
-        return self._reps[i]
 
     def decode(self, i):
         return tuple(x for x in range(self.parent.size) if self._cmap[x] == i)

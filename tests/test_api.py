@@ -42,6 +42,25 @@ REMOVED_ATTRIBUTES = [
     ("probability", "SpectrumReport", "prob_of"),
     ("probability", "SpectrumReport", "total"),
     ("probability", "ProbFraction", "fraction"),
+    # one copy of each ring's arithmetic: a table ring's tables are its
+    # rows, and an element is only the (ring, index) pair a literal parses to
+    ("rings", "TableRing", "_table_add"),
+    ("rings", "TableRing", "_table_mul"),
+    ("rings", "RingElement", "_same_ring"),
+    ("rings", "RingElement", "__add__"),
+    ("rings", "RingElement", "__mul__"),
+    ("rings", "RingElement", "__neg__"),
+    ("rings", "RingElement", "__sub__"),
+    ("rings", "Ring", "zero"),
+    ("rings", "Ring", "one"),
+    ("rings", "Ring", "radices"),
+    ("rings", "QuotientRing", "representative"),
+]
+# Overrides removed: a table ring sets its rows at load, so it needs no
+# per-call operations and no row builders of its own.
+REMOVED_OVERRIDES = [
+    ("rings", "TableRing", attr) for attr in
+    ("_add", "_mul", "_neg", "_build_add_rows", "_build_mul_rows")
 ]
 
 
@@ -62,3 +81,9 @@ def test_removed_attributes_are_gone():
     for module, cls, attr in REMOVED_ATTRIBUTES:
         owner = getattr(importlib.import_module(f"ringprob.{module}"), cls)
         assert not hasattr(owner, attr), (cls, attr)
+
+
+def test_removed_overrides_are_gone():
+    for module, cls, attr in REMOVED_OVERRIDES:
+        owner = getattr(importlib.import_module(f"ringprob.{module}"), cls)
+        assert attr not in vars(owner), (cls, attr)

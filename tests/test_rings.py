@@ -17,7 +17,6 @@ from ringprob.corpus import default_corpus, fixture_path, upper_triangular_table
 from ringprob.errors import (
     EnumerationLimitExceeded,
     ImproperIdeal,
-    MixedRings,
     NotAnIdeal,
     SizeCapExceeded,
     ValidationError,
@@ -73,30 +72,24 @@ class TestSizes:
 class TestArithmetic:
     def test_zmod_product(self):
         z4 = zmod(4)
-        assert (z4.element(2) * z4.element(3)).index == 2
+        assert z4.mul_index(2, 3) == 2
 
     def test_matrix_square(self):
         # [[1,1],[0,1]]^2 over F_2, multiplied out by hand: entries
         # (1*1, 1*1+1*1, 0, 1*1) -> identity.
         m2 = matrix_ring(2, 2)
-        a = m2.element(m2.encode(((1, 1), (0, 1))))
-        assert (a * a).form == ((1, 0), (0, 1))
+        a = m2.encode(((1, 1), (0, 1)))
+        assert m2.decode(m2.mul_index(a, a)) == ((1, 0), (0, 1))
 
     def test_trivial_extension_square_zero(self):
         tv = trivial_extension(2, 1)
-        u = tv.element(tv.encode((0, (1,))))
-        assert (u * u).index == 0
-
-    def test_mixed_rings_rejected(self):
-        with pytest.raises(MixedRings):
-            zmod(4).element(1) + zmod(6).element(1)
-        with pytest.raises(MixedRings):
-            zmod(4).element(1) * zmod(6).element(1)
+        u = tv.encode((0, (1,)))
+        assert tv.mul_index(u, u) == 0
 
     def test_neg_and_sub(self):
         z5 = zmod(5)
-        assert (-z5.element(2)).index == 3
-        assert (z5.element(1) - z5.element(3)).index == 3
+        assert z5.neg_index(2) == 3
+        assert z5.add_index(1, z5.neg_index(3)) == 3
 
 
 def matrix_product_oracle(ring, i, j):
@@ -160,7 +153,7 @@ class TestEnumerationOrder:
     def test_quotient_cosets(self):
         q = quotient_make(zmod(4), {0, 2})
         assert [q.decode(i) for i in range(q.size)] == [(0, 2), (1, 3)]
-        assert [q.representative(i) for i in range(q.size)] == [0, 1]
+        assert [min(q.decode(i)) for i in range(q.size)] == [0, 1]
 
     def test_size_cap(self):
         with pytest.raises(SizeCapExceeded):
@@ -317,7 +310,7 @@ class TestQuotients:
             assert q2.size == direct.size
             # map a direct coset to the nested one through representatives
             to_nested = {
-                i: q2.coset_index_of(q1.coset_index_of(direct.representative(i)))
+                i: q2.coset_index_of(q1.coset_index_of(min(direct.decode(i))))
                 for i in range(direct.size)
             }
             assert sorted(to_nested.values()) == list(range(q2.size))
@@ -360,8 +353,8 @@ class TestQuotients:
                     assert list(quot.add_row(i)) == [coset[ring.add_index(rep, r)] for r in reps]
                     assert list(quot.mul_row(i)) == [coset[ring.mul_index(rep, r)] for r in reps]
                     assert quot.neg_index(i) == coset[ring.neg_index(rep)]
-                    assert quot.representative(i) == rep
                     form = quot.decode(i)
+                    assert min(form) == rep
                     assert form == tuple(x for x in range(n) if rep_of[x] == rep)
                     assert quot.encode(form) == i
                 assert [quot.coset_index_of(x) for x in range(n)] == coset
@@ -433,6 +426,202 @@ class TestTableRing:
             TableRing(add, mul, 1)
 
 
+def cyclic_tables(n):
+    """The add and mul tables of Z_n."""
+    return ([[(i + j) % n for j in range(n)] for i in range(n)],
+            [[i * j % n for j in range(n)] for i in range(n)])
+
+
+def ring_tables(ring):
+    """A ring's add and mul rows, as lists."""
+    return ([list(ring.add_row(i)) for i in range(ring.size)],
+            [list(ring.mul_row(i)) for i in range(ring.size)])
+
+
+def maps_near_ring(opposite):
+    """The zero-fixing maps of Z_3, added pointwise, with fg the composition
+    f(g(x)): associative, with the identity map as 1 and the zero map as 0.
+    (f+g)h = fh+gh always holds, and f(g+h) = fg+fh fails for a map f that
+    is not additive; the opposite product breaks only the other law.  The
+    map with values f(1), f(2) has index 3 f(1) + f(2)."""
+    maps = [(0, a, b) for a in range(3) for b in range(3)]
+    index = {f: 3 * f[1] + f[2] for f in maps}
+    add = [[index[tuple((x + y) % 3 for x, y in zip(f, g))] for g in maps] for f in maps]
+    compose = [[index[tuple(f[x] for x in g)] for g in maps] for f in maps]
+    mul = [list(col) for col in zip(*compose)] if opposite else compose
+    return add, mul, index[(0, 1, 2)]
+
+
+# The permutations of {0, 1, 2} under composition, identity first: S_3 is
+# a group that does not commute.
+S3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+# A commutative loop of order 6 (identity 0, each row a permutation) that is
+# not associative: (2+2)+4 = 3 but 2+(2+4) = 2.
+COMMUTATIVE_LOOP = [
+    [0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+    [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3],
+]
+
+
+def audit_case(defect):
+    """(add, mul, one) whose one defect is named by the refusal it draws."""
+    add, mul = cyclic_tables(4)
+    if defect == "table ring must have at least 2 elements":
+        return [[0]], [[0]], 0
+    if defect == "table ring capped at 256 elements, got 257":
+        return [[0]] * 257, [[0]] * 257, 1
+    if defect == "add table is not 4x4":
+        add[2] = add[2][:3]
+    elif defect == "mul table is not 4x4":
+        mul = mul[:3]
+    elif defect == "add table entry out of range":
+        add[3][3] = 4
+    elif defect == "mul table entry out of range":
+        mul[2][3] = -1
+    elif defect == "designated identity index out of range":
+        return add, mul, 4
+    elif defect == "element 0 is not the additive identity":
+        # Z_4 relabelled by x -> x + 1: the identity is element 3
+        add = [[(i + j + 1) % 4 for j in range(4)] for i in range(4)]
+    elif defect == "addition is not commutative":
+        add = [[S3.index(tuple(f[x] for x in g)) for g in S3] for f in S3]
+        mul = cyclic_tables(6)[1]
+    elif defect == "some element has no additive inverse":
+        add[2][2] = 2       # row 2 is then 2, 3, 2, 1
+    elif defect == "addition is not associative":
+        add, mul = COMMUTATIVE_LOOP, cyclic_tables(6)[1]
+    elif defect == "designated 1 is not a two-sided identity":
+        return add, mul, 2
+    elif defect == "0 does not annihilate under multiplication":
+        mul[0][2] = 1
+    elif defect == "multiplication is not associative":
+        # (Z_2)^3 with basis 1 = 1, x = 2, y = 4 and the bilinear product
+        # xx = y, xy = yy = 0, yx = x: (xx)x = x but x(xx) = 0
+        basis = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 1): 2, (4, 1): 4,
+                 (2, 2): 4, (2, 4): 0, (4, 4): 0, (4, 2): 2}
+        add = [[i ^ j for j in range(8)] for i in range(8)]
+        mul = [[0] * 8 for _ in range(8)]
+        for i in range(8):
+            for j in range(8):
+                for (a, b), c in basis.items():
+                    if i & a and j & b:
+                        mul[i][j] ^= c
+    elif defect == "left distributivity fails":
+        return maps_near_ring(opposite=False)
+    elif defect == "right distributivity fails":
+        return maps_near_ring(opposite=True)
+    return add, mul, 1
+
+
+AUDIT_MESSAGES = [
+    "table ring must have at least 2 elements",
+    "table ring capped at 256 elements, got 257",
+    "add table is not 4x4",
+    "mul table is not 4x4",
+    "add table entry out of range",
+    "mul table entry out of range",
+    "designated identity index out of range",
+    "element 0 is not the additive identity",
+    "addition is not commutative",
+    "some element has no additive inverse",
+    "addition is not associative",
+    "designated 1 is not a two-sided identity",
+    "0 does not annihilate under multiplication",
+    "multiplication is not associative",
+    "left distributivity fails",
+    "right distributivity fails",
+]
+
+
+def is_ring_by_triples(add, mul, one):
+    """Oracle: the ring axioms at every triple, O(n^3) lookups, each row
+    compared whole: + is an abelian group with identity 0, * is associative
+    with identity one, and * distributes over + on both sides."""
+    n = len(add)
+    elements = range(n)
+    if any(add[0][x] != x for x in elements) or any(0 not in row for row in add):
+        return False
+    if any(add[x][y] != add[y][x] for x in elements for y in elements):
+        return False
+    if any(mul[one][x] != x or mul[x][one] != x for x in elements):
+        return False
+    for x in elements:
+        ax, mx = add[x], mul[x]
+        for y in elements:
+            ay, my = add[y], mul[y]
+            if add[ax[y]] != [ax[v] for v in ay]:                      # (x+y)+z
+                return False
+            if mul[mx[y]] != [mx[v] for v in my]:                      # (xy)z
+                return False
+            if [mx[v] for v in ay] != [add[mx[y]][v] for v in mx]:     # x(y+z)
+                return False
+            if mul[ax[y]] != [add[s][t] for s, t in zip(mx, my)]:      # (x+y)z
+                return False
+    return True
+
+
+class TestTableAudit:
+    """The audit at load refuses exactly the tables that are not a unital
+    ring, with one message per defect."""
+
+    @pytest.mark.parametrize("message", AUDIT_MESSAGES)
+    def test_each_defect_draws_its_message(self, message):
+        with pytest.raises(ValidationError) as refused:
+            TableRing(*audit_case(message))
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("spec", [
+        "Z6", "GF4", "chain(2,3)", "triv(2,2)", "Z2 x Z4", "M2(GF2)", "GR(2,2,2)",
+        "table:<fixture>", "Z2 x M2(GF2)", "GF27", "chain(4,3)", "M1(GF64)",
+    ])
+    def test_one_entry_mutations_are_refused_as_the_oracle_refuses(self, spec):
+        """Seeded one-entry mutations of a ring's tables, and the tables
+        themselves with the nonzero indices relabelled: the audit refuses
+        exactly those the triple-by-triple oracle refuses."""
+        ring = parse_ring_spec(spec.replace("<fixture>", fixture_path()))
+        add, mul = ring_tables(ring)
+        n, one = ring.size, ring.one_index
+        rnd = random.Random(spec)
+        perm = [0] + rnd.sample(range(1, n), n - 1)
+        relabelled = []
+        for tab in (add, mul):
+            moved = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    moved[perm[i]][perm[j]] = perm[tab[i][j]]
+            relabelled.append(moved)
+        cases = [(*relabelled, perm[one])]
+        for _ in range(40):
+            tab = rnd.choice((add, mul))
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            if tab is add and rnd.random() < 0.5:
+                j = i       # + stays commutative, so associativity must refuse it
+            mutated = [row[:] for row in tab]
+            mutated[i][j] = rnd.choice([v for v in range(n) if v != tab[i][j]])
+            cases.append((mutated, mul, one) if tab is add else (add, mutated, one))
+        for case in cases:
+            try:
+                TableRing(*case)
+                audited = True
+            except ValidationError:
+                audited = False
+            assert audited == is_ring_by_triples(*case)
+
+    def test_m2_gf4_rows_load_as_the_same_ring(self):
+        """A 256-element table ring from the rows of M2(GF4) has M2(GF4)'s
+        pair counts and structure."""
+        recipe = parse_ring_spec("M2(GF4)")
+        table = TableRing(*ring_tables(recipe), recipe.one_index)
+        assert pair_counts(table) == pair_counts(recipe)
+        got, want = structure_report(table), structure_report(recipe)
+        for field in ("units", "zero_divisors", "nilpotency_index", "is_local", "q", "n",
+                      "is_max_chain", "is_j2_zero"):
+            assert getattr(got, field) == getattr(want, field), field
+        assert ([ideal.members for ideal in got.radical_chain]
+                == [ideal.members for ideal in want.radical_chain])
+
+
 class TestConstructionValidation:
     def test_galois_ring_rejects_reducible_modulus(self):
         with pytest.raises(ValidationError):
@@ -456,13 +645,19 @@ class TestConstructionValidation:
             field_ring(6)
 
 
+def table_from_json(ring, name):
+    """The "add" or "mul" table of a table ring, read from its file."""
+    return json.loads(Path(ring.source_path).read_text())[name]
+
+
 def addition_oracle(ring):
     """add(i, j) for ring: decode both operands, add component by component
     with the field or base-ring operations, and encode the sum."""
     if isinstance(ring, ZModRing):
         return lambda i, j: (i + j) % ring.n
     if isinstance(ring, TableRing):
-        return lambda i, j: ring._table_add[i][j]
+        table = table_from_json(ring, "add")
+        return lambda i, j: table[i][j]
     forms = [ring.decode(i) for i in range(ring.size)]
     if isinstance(ring, MatrixRing):
         fadd = field_oracle(ring.q)[0]
@@ -508,10 +703,16 @@ class TestMemoTables:
     @pytest.mark.parametrize("spec", [name for name, _ in default_corpus()] + EXTRA_ORACLE_SPECS)
     def test_tables_match_addition_oracle(self, spec):
         """Every sum and negative of every ring; sampled sums through the
-        untabled digitwise path, and sampled products."""
+        untabled digitwise path, and sampled products against the per-call
+        product, or a table ring's own file, as it has no per-call path."""
         corpus = dict(default_corpus())
         ring = corpus.get(spec) or parse_ring_spec(spec.replace("<fixture>", fixture_path()))
         add = addition_oracle(ring)
+        if isinstance(ring, TableRing):
+            table = table_from_json(ring, "mul")
+            mul = lambda i, j: table[i][j]
+        else:
+            mul = ring._mul
         n = ring.size
         for i in range(n):
             assert list(ring.add_row(i)) == [add(i, j) for j in range(n)]
@@ -520,7 +721,7 @@ class TestMemoTables:
         for _ in range(300):
             i, j = rnd.randrange(n), rnd.randrange(n)
             assert ring._add(i, j) == add(i, j)
-            assert ring.mul_index(i, j) == ring._mul(i, j)
+            assert ring.mul_index(i, j) == mul(i, j)
 
     @pytest.mark.parametrize("ring_factory, cls", [
         (lambda: chain_ring(2, 5), PolyQuotientRing),
@@ -546,7 +747,7 @@ class TestMemoTables:
         ring.mul_row(0)
         calls = [(i, j) for owner, i, j in every_call if owner is ring]
         generators = ring.additive_generators()
-        assert 0 < len(calls) <= len(generators) * sum(m - 1 for m in ring.radices)
+        assert 0 < len(calls) <= len(generators) * sum(m - 1 for m in ring.summands)
         assert {j for _, j in calls} <= set(generators)
 
 
@@ -582,12 +783,11 @@ class TestSplitTables:
         assert ring._neg_list is not None
 
     @pytest.mark.parametrize("ring_factory, typecode", [
-        (lambda: parse_ring_spec(f"table:{fixture_path()}"), "B"),
         (lambda: quotient_make(chain_ring(2, 4), [0, 8]), "B"),
         (lambda: quotient_make(chain_ring(2, 10), [0, 512]), "H"),
         (lambda: quotient_make(zmod(600), range(0, 600, 2)), "B"),
         (lambda: quotient_make(zmod(600), [0, 300]), "H"),
-    ], ids=["table", "chain(2,4)/I", "chain(2,10)/I", "Z600/2", "Z600/300"])
+    ], ids=["chain(2,4)/I", "chain(2,10)/I", "Z600/2", "Z600/300"])
     def test_byte_and_short_rows_agree_with_ops(self, ring_factory, typecode):
         ring = ring_factory()
         n = ring.size
@@ -601,7 +801,7 @@ class TestSplitTables:
 
 PER_CALL_SPECS = [
     "Z12", "GF9", "M2(GF2)", "chain(2,3)", "GR(2,2,2)", "triv(2,2)", "Z2 x Z4",
-    "Z3 x M1(GF4)", "table:<fixture>", "table:<fixture> x Z2",
+    "Z3 x M1(GF4)", "table:<fixture> x Z2",
 ]
 
 
