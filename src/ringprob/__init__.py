@@ -7,6 +7,10 @@ enumeration or closed form, and machine-verify the formulas::
     >>> ring = parse_ring_spec("Z6")
     >>> str(prob_brute(ring, 0))
     '5/12'
+
+Importing the package loads what a query runs: rings, structure, the
+engines and the closed forms.  SUITES, run_suites and default_corpus load
+the verification modules on first use.
 """
 
 from .closedform import (
@@ -26,7 +30,6 @@ from .closedform import (
     prob_zn,
     subspace_count,
 )
-from .corpus import default_corpus
 from .errors import (
     BadDimensionOrder,
     DegreeOutOfRange,
@@ -87,6 +90,19 @@ from .structure import (
     units,
     zero_divisors,
 )
-from .verify import SUITES, run_suites
 
 __version__ = "0.1.0"
+
+_LAZY = {"SUITES": "verify", "run_suites": "verify", "default_corpus": "corpus"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

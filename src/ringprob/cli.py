@@ -13,13 +13,11 @@ import json
 import sys
 
 from .closedform import prob_auto, prob_formula
-from .corpus import corpus_from_file, default_corpus
 from .errors import RingProbError, SizeCapExceeded, ValidationError
 from .probability import ProbFraction, prob_annsum, prob_brute, spectrum
 from .rings import DEFAULT_SIZE_CAP
 from .specparse import parse_element, parse_ring_spec
 from .structure import structure_report
-from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -130,7 +128,17 @@ def cmd_structure(args) -> int:
     return EXIT_OK
 
 
+def corpus_from_file(path: str, cap: int | None = None):
+    """corpus.corpus_from_file, importing corpus on first use.  A module
+    name, so a caller can wrap it (perfbench/child.py times the build)."""
+    from .corpus import corpus_from_file
+    return corpus_from_file(path, cap)
+
+
 def cmd_verify(args) -> int:
+    # only this command imports the suites and the corpus
+    from .corpus import default_corpus
+    from .verify import run_suites
     if args.corpus == "default":
         corpus = default_corpus()
     else:
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("verify", help="run the formula verification suites")
-    p.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
+    p.add_argument("--suite", default="all", help="a suite id, or 'all' (the default)")
     p.add_argument("--corpus", default="default",
                    help="'default' or a path to a JSON array of ring specs")
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")

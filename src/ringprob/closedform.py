@@ -10,9 +10,9 @@ corollary predicates read `structure_report` and the pair counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 
+from ._record import Record
 from .errors import (
     BadDimensionOrder,
     FormulaUnavailable,
@@ -33,24 +33,32 @@ NONZERO_ZERO_DIVISOR = "nonzero_zero_divisor"
 NONZERO_RADICAL = "nonzero_radical"
 
 
-@dataclass(frozen=True, slots=True)
-class FormulaResult:
-    """An exact value plus the formula tag and its verified hypotheses."""
+class FormulaResult(Record):
+    """An exact value plus the formula tag and its verified hypotheses,
+    which equality and hashing leave out."""
 
+    __slots__ = ("value", "formula", "applicability")
     value: ProbFraction
     formula: str
-    applicability: dict = field(default_factory=dict, compare=False)
+    applicability: dict
+
+    def __init__(self, value: ProbFraction, formula: str, applicability: dict | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "applicability", {} if applicability is None else applicability)
+
+    def _key(self) -> tuple:
+        return self.value, self.formula
 
 
-@dataclass(frozen=True)
-class MatrixClass:
+class MatrixClass(Record):
     """Target class for the matrix-ring formula: q, matrix size, rank."""
 
     q: int
     dim: int
     rank: int
 
-    def __post_init__(self):
+    def _check(self):
         factor_prime_power(self.q)  # raises NonPrime unless q is a prime power
         if self.dim < 1:
             raise ValidationError(f"matrix dimension must be >= 1, got {self.dim}")
@@ -237,7 +245,7 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
         rank = matrix_rank(ring.element(xi))
         if rank == ring.k:
             return prob_unit_formula(ring)
-        return prob_matrix_formula(MatrixClass(q=ring.q, dim=ring.k, rank=rank))
+        return prob_matrix_formula(MatrixClass(ring.q, ring.k, rank))
     inv = invariants(ring)
     if not inv.is_local and (factored := components(ring)) is not None:
         # a product, or a composite Z_n by CRT (a local ring never splits):

@@ -7,7 +7,6 @@ share its rings' memoized operation tables.
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources
 
 from .rings import Ring, check_size_cap
 from .specparse import parse_ring_spec
@@ -30,6 +29,7 @@ _CORPUS_SPECS = [
 
 def fixture_path() -> str:
     """Filesystem path of the checked-in upper-triangular table ring."""
+    from importlib import resources     # loads pathlib and zipfile: import only when needed
     return str(resources.files("ringprob") / "data" / FIXTURE_NAME)
 
 

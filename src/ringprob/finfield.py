@@ -10,9 +10,9 @@ irreducibility test, and the FieldDescriptor (p, r, f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import DegreeOutOfRange, NonPrime, ValidationError
 
 MAX_EXTENSION_DEGREE = 8
@@ -202,8 +202,7 @@ def smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record):
     """Immutable recipe for GF(p^r): prime, degree, and the monic modulus."""
 
     p: int

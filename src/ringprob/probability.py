@@ -14,33 +14,35 @@ All values are exact integer pairs; nothing here touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from math import gcd
 
+from ._record import Record
 from .errors import MixedRings, ValidationError
 from .recipe import Invariants, invariants, matrix_rank
 from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement, check_size_cap
 
 
-@dataclass(frozen=True, slots=True)
-class ProbFraction:
+class ProbFraction(Record):
     """An exact probability as (hit count, total); reduced only on display."""
 
+    __slots__ = ("hits", "total")
     hits: int
     total: int
 
-    def __post_init__(self):
-        if self.total <= 0:
+    def __init__(self, hits: int, total: int):     # written out: the hottest record
+        if total <= 0:
             raise ValueError("total must be positive")
-        if not 0 <= self.hits <= self.total:
-            raise ValueError(f"hits {self.hits} outside [0, {self.total}]")
+        if not 0 <= hits <= total:
+            raise ValueError(f"hits {hits} outside [0, {total}]")
+        object.__setattr__(self, "hits", hits)
+        object.__setattr__(self, "total", total)
 
     def reduced(self) -> tuple[int, int]:
         g = gcd(self.hits, self.total)
         return self.hits // g, self.total // g
 
     def decimal_str(self, digits: int = 12) -> str:
+        from decimal import Decimal, localcontext   # only printed output needs decimal
         with localcontext() as ctx:
             ctx.prec = digits
             return str(Decimal(self.hits) / Decimal(self.total))
@@ -155,16 +157,14 @@ def annsum_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, 
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(Record):
     label: str
     representative: int
     class_size: int
     prob: ProbFraction
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Per-class multiplication probabilities over the whole ring."""
 
     ring: Ring

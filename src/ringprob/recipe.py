@@ -29,8 +29,8 @@ has one source of answers and dispatch has one code path.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd, prod
-from typing import Callable
 
 from .errors import NonPrime, ValidationError
 from .finfield import _MR_BOUND, factor_prime_power, is_irreducible, is_prime
@@ -228,14 +228,17 @@ def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
 def components(ring: Ring) -> tuple[tuple[Ring, ...], Callable[[int], tuple]] | None:
     """The ring's direct factors and split(i), the indices of element i in
     them, or None for a ring this does not split: a product into its
-    factors, a composite Z_n into its Z_{p^e} by CRT (x mod p^e)."""
-    if isinstance(ring, ProductRing):
-        return ring.factors, ring.decode
-    if isinstance(ring, ZModRing):
-        moduli = [p ** e for p, e in _factorize(ring.n).items()]
-        if len(moduli) > 1:
-            return tuple(map(zmod, moduli)), lambda i: tuple(i % m for m in moduli)
-    return None
+    factors, a composite Z_n into its Z_{p^e} by CRT (x mod p^e).
+    Memoized on the ring instance, so the factors keep their invariants."""
+    if ring._components is False:
+        ring._components = None
+        if isinstance(ring, ProductRing):
+            ring._components = ring.factors, ring.decode
+        elif isinstance(ring, ZModRing):
+            moduli = [p ** e for p, e in _factorize(ring.n).items()]
+            if len(moduli) > 1:
+                ring._components = tuple(map(zmod, moduli)), lambda i: tuple(i % m for m in moduli)
+    return ring._components
 
 
 def _product(factors: tuple[Ring, ...], split: Callable[[int], tuple]) -> Invariants:

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EnumerationLimitExceeded,
@@ -89,9 +89,11 @@ class Ring:
     def _init_tables(self) -> None:
         self._hash: int | None = None
         self._commutative: bool | None = None
-        # per-ring memos of structure_report, invariants, pair_counts and spectrum
+        # per-ring memos of structure_report, invariants, pair_counts and
+        # spectrum, and of recipe.components (False until first computed)
         self._structure = None
         self._invariants = None
+        self._components = False
         self._pair_counts: tuple[int, ...] | None = None
         self._spectrum = None
         self._mul_rows: list[array] | None = None

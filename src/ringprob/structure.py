@@ -24,21 +24,20 @@ ring's d additive generators cost O(|I| * d) sums and products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
+from ._record import Record
 from .errors import NotLocal
 from .rings import Ring, additive_closure, check_size_cap, validate_ideal
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """A validated two-sided ideal, stored as an element-index set."""
 
     ring: Ring
     members: frozenset[int]
 
-    def __post_init__(self):
+    def _check(self):
         validate_ideal(self.ring, self.members)
 
     @property
@@ -120,8 +119,7 @@ def principal_ideal_members(ring: Ring, gi: int) -> frozenset[int]:
     return additive_closure(ring, generators)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Classification data every probability formula dispatches on."""
 
     ring: Ring

@@ -1,7 +1,13 @@
 """The public API of `ringprob`, pinned: a name added to or dropped from
 the package namespace has to be added to or dropped from this list."""
 
+import copy
 import importlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -65,9 +71,29 @@ REMOVED_OVERRIDES = [
 
 
 def test_public_names_are_pinned():
-    names = sorted(name for name, value in vars(ringprob).items()
-                   if not name.startswith("_") and not isinstance(value, ModuleType))
+    names = sorted(name for name in dir(ringprob) if not name.startswith("_")
+                   and not isinstance(getattr(ringprob, name), ModuleType))
     assert names == sorted(PUBLIC_NAMES)
+
+
+# What `import ringprob.cli` must not load: the verification modules and
+# standard-library modules that only some calls need.
+NOT_AT_IMPORT = ("dataclasses", "inspect", "typing", "decimal", "importlib.resources",
+                 "ringprob.verify", "ringprob.corpus")
+
+
+def test_import_loads_only_what_a_query_runs():
+    """-S keeps site hooks from loading any of them first; the lazy names
+    still resolve afterwards."""
+    probe = ("import sys, ringprob.cli\n"
+             f"print([m for m in {NOT_AT_IMPORT!r} if m in sys.modules])\n"
+             "from ringprob import SUITES, run_suites, default_corpus\n"
+             "print(len(SUITES), run_suites.__module__, default_corpus.__module__)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "15 ringprob.verify ringprob.corpus"]
 
 
 @pytest.mark.parametrize("module", ["ringprob", "ringprob.finfield", "ringprob.structure",
@@ -87,3 +113,35 @@ def test_removed_overrides_are_gone():
     for module, cls, attr in REMOVED_OVERRIDES:
         owner = getattr(importlib.import_module(f"ringprob.{module}"), cls)
         assert attr not in vars(owner), (cls, attr)
+
+
+def test_records_keep_frozen_dataclass_behaviour():
+    """The result records are built without dataclasses but compare, hash,
+    print, copy and refuse assignment as the frozen dataclasses did, and
+    add no tuple behaviour."""
+    half = ringprob.ProbFraction(1, 2)
+    tagged = ringprob.FormulaResult(half, "unit", {"unit": True})
+    cls = ringprob.MatrixClass(q=4, dim=2, rank=1)
+    assert repr(half) == "ProbFraction(hits=1, total=2)"
+    assert repr(cls) == "MatrixClass(q=4, dim=2, rank=1)"
+    assert repr(ringprob.FormulaResult(value=half, formula="unit")) == \
+        "FormulaResult(value=ProbFraction(hits=1, total=2), formula='unit', applicability={})"
+    # applicability is left out of equality and hashing
+    assert tagged == ringprob.FormulaResult(half, "unit") and hash(tagged) == hash((half, "unit"))
+    assert cls == ringprob.MatrixClass(4, 2, 1) and hash(cls) == hash((4, 2, 1))
+    assert cls != (4, 2, 1)
+    for record in (half, tagged, cls, ringprob.field_make(2, 3)):
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+        with pytest.raises(AttributeError):
+            record.total = 3
+        with pytest.raises(AttributeError):
+            del record.total
+        with pytest.raises(TypeError):
+            len(record)
+    for bad in ((4,), (4, 2), (4, 2, 1, 0), ()):
+        with pytest.raises(TypeError):
+            ringprob.MatrixClass(*bad)
+    with pytest.raises(TypeError):
+        ringprob.MatrixClass(4, 2, dim=2)
+    with pytest.raises(ringprob.ValidationError):
+        ringprob.MatrixClass(4, 2, 3)

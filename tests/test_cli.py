@@ -206,6 +206,12 @@ class TestVerify:
         pin = data / "verify_pool.sha256"
         assert hashlib.sha256(out.encode()).hexdigest() == pin.read_text().split()[0]
 
+    def test_unknown_suite_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemma99")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown suite 'lemma99' (known: lemma21, ")
+        assert "Traceback" not in err
+
     def test_custom_corpus_size_cap(self, capsys, tmp_path):
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(["Z5000"]))
@@ -227,14 +233,14 @@ class TestVerify:
 
 class TestExitOnFailure:
     def test_verification_failure_exits_1(self, capsys, monkeypatch):
-        import ringprob.cli as cli
+        import ringprob.verify as verify
         from ringprob.verify import CaseResult, SuiteResult
 
         def doomed(suite_ids, corpus):
             return [SuiteResult(suite="thm46", description="stub", cases=[
                 CaseResult("thm46", "Z4", "FAIL", "forced", "1/4", "1/8")])]
 
-        monkeypatch.setattr(cli, "run_suites", doomed)
+        monkeypatch.setattr(verify, "run_suites", doomed)
         code, out, _ = run_cli(capsys, "verify", "--suite", "thm46")
         assert code == 1
         assert "expected: 1/4" in out and "actual:   1/8" in out

@@ -107,6 +107,14 @@ class TestComponents:
     def test_indecomposable_rings_do_not_split(self, spec):
         assert components(build(spec)) is None
 
+    @pytest.mark.parametrize("spec", ["Z360", "Z2 x M2(GF2)", "Z8"])
+    def test_memoized_on_the_ring(self, spec):
+        ring = build(spec)
+        first = components(ring)
+        assert components(ring) is first
+        if first is not None:
+            assert invariants(first[0][0]) is invariants(components(ring)[0][0])
+
 
 def factorize_by_trial_division(n):
     """Oracle: divide by every p with p^2 <= n in turn."""
