@@ -40,7 +40,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self.__getstate__()))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value=None):

@@ -11,6 +11,7 @@ corollary predicates read `structure_report` and the pair counts.
 from __future__ import annotations
 
 from math import prod
+from types import MappingProxyType
 
 from ._record import Record
 from .errors import (
@@ -35,7 +36,8 @@ NONZERO_RADICAL = "nonzero_radical"
 
 class FormulaResult(Record):
     """An exact value plus the formula tag and its verified hypotheses,
-    which equality and hashing leave out."""
+    which equality and hashing leave out.  The targets of one class share
+    one result, so the hypotheses are read-only; they print as a dict."""
 
     __slots__ = ("value", "formula", "applicability")
     value: ProbFraction
@@ -45,7 +47,13 @@ class FormulaResult(Record):
     def __init__(self, value: ProbFraction, formula: str, applicability: dict | None = None):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "applicability", {} if applicability is None else applicability)
+        object.__setattr__(self, "applicability", MappingProxyType(applicability or {}))
+
+    def __getstate__(self) -> tuple:
+        return self.value, self.formula, dict(self.applicability)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(*state)
 
     def _key(self) -> tuple:
         return self.value, self.formula
@@ -235,35 +243,54 @@ def corollary_44_predicate(ring: Ring) -> tuple[bool, bool]:
     return lhs, report.is_j2_zero
 
 
+def _formula_class(ring: Ring, xi: int):
+    """The class of xi its closed form depends on: "unit", a matrix rank, a
+    radical layer (0 at zero), or the tuple of its components' classes in
+    a product or a composite Z_n; FormulaUnavailable when none applies."""
+    if isinstance(ring, MatrixRing):
+        rank = matrix_rank(ring.element(xi))
+        return "unit" if rank == ring.k else rank
+    inv = invariants(ring)
+    if not inv.is_local and (factored := components(ring)) is not None:
+        # a product, or a composite Z_n by CRT (a local ring never splits)
+        factors, split = factored
+        key = tuple(_formula_class(f, c) for f, c in zip(factors, split(xi)))
+        return "unit" if all(k == "unit" for k in key) else key
+    if inv.is_unit(xi):
+        return "unit"
+    if inv.is_max_chain or inv.is_local and inv.is_j2_zero:
+        return inv.radical_layer(xi) if xi else 0
+    raise FormulaUnavailable(f"no closed form applies to {ring.describe()}")
+
+
+def _formula(ring: Ring, xi: int, key) -> FormulaResult:
+    """The closed form of key, the class of xi, from the ring's memo of one
+    result per class (held to DEFAULT_SIZE_CAP entries) or evaluated at xi."""
+    if (result := ring._formulas.get(key)) is None:
+        if key == "unit":
+            result = prob_unit_formula(ring)
+        elif isinstance(ring, MatrixRing):
+            result = prob_matrix_formula(MatrixClass(ring.q, ring.k, key))
+        elif isinstance(key, tuple):
+            factors, split = components(ring)
+            parts = [_formula(*part) for part in zip(factors, split(xi), key)]
+            value = prod((part.value for part in parts), start=ProbFraction(1, 1))
+            result = FormulaResult(value, "product", {"components": [p.formula for p in parts]})
+        else:
+            chain = invariants(ring).is_max_chain
+            result = (prob_chain_formula if chain else prob_j2zero_formula)(ring, xi)
+        if len(ring._formulas) < DEFAULT_SIZE_CAP:
+            ring._formulas[key] = result
+    return result
+
+
 def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
     """Closed form only; raises FormulaUnavailable when none applies.
 
-    Reads the ring's invariants, so a recipe ring builds no table here."""
+    Reads the ring's invariants, so a recipe ring builds no table here;
+    the targets of one class share one result."""
     xi = _index_of(ring, x)
-    if isinstance(ring, MatrixRing):
-        # one rank serves the unit test (rank k) and the matrix formula
-        rank = matrix_rank(ring.element(xi))
-        if rank == ring.k:
-            return prob_unit_formula(ring)
-        return prob_matrix_formula(MatrixClass(ring.q, ring.k, rank))
-    inv = invariants(ring)
-    if not inv.is_local and (factored := components(ring)) is not None:
-        # a product, or a composite Z_n by CRT (a local ring never splits):
-        # each factor tests its own component for a unit, once
-        factors, split = factored
-        parts = [prob_formula(f, c) for f, c in zip(factors, split(xi))]
-        tags = [part.formula for part in parts]
-        if all(tag == "unit" for tag in tags):
-            return prob_unit_formula(ring)
-        value = prod((part.value for part in parts), start=ProbFraction(1, 1))
-        return FormulaResult(value, "product", {"components": tags})
-    if inv.is_unit(xi):
-        return prob_unit_formula(ring)
-    if inv.is_max_chain:
-        return prob_chain_formula(ring, xi)
-    if inv.is_local and inv.is_j2_zero:
-        return prob_j2zero_formula(ring, xi)
-    raise FormulaUnavailable(f"no closed form applies to {ring.describe()}")
+    return _formula(ring, xi, _formula_class(ring, xi))
 
 
 def prob_auto(ring: Ring, x: RingElement | int,

@@ -9,11 +9,16 @@ serve as an oracle for the others:
   pair_counts  - a single pass binning every ordered pair by its product
                  (the workhorse behind full spectra).
 
+prob_annsum and its all-x form annsum_counts read one partition of R by
+the right ideal aR, memoized on the ring; prob_brute and pair_counts
+share nothing with it and stay the independent oracles.
+
 All values are exact integer pairs; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd
 
 from ._record import Record
@@ -22,6 +27,7 @@ from .recipe import Invariants, invariants, matrix_rank
 from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement, check_size_cap
 
 
+@total_ordering
 class ProbFraction(Record):
     """An exact probability as (hit count, total); reduced only on display."""
 
@@ -56,16 +62,9 @@ class ProbFraction(Record):
         return self.hits * other.total == other.hits * self.total
 
     def __lt__(self, other: "ProbFraction") -> bool:
+        if not isinstance(other, ProbFraction):
+            return NotImplemented
         return self.hits * other.total < other.hits * self.total
-
-    def __le__(self, other: "ProbFraction") -> bool:
-        return self.hits * other.total <= other.hits * self.total
-
-    def __gt__(self, other: "ProbFraction") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ProbFraction") -> bool:
-        return other <= self
 
     def __hash__(self) -> int:
         return hash(self.reduced())
@@ -107,18 +106,36 @@ def prob_brute(ring: Ring, x: RingElement | int,
     return ProbFraction(hits, n * n)
 
 
+def _principal_partition(ring: Ring) -> tuple[int, tuple[tuple[frozenset[int], int, int], ...]]:
+    """How many a have aR = R, and for each proper aR, in order of its first
+    a: the set aR, that first a, and the sum of |ann_r(a)| over its a.
+    Memoized on the ring.  |ann_r(a)| is row a's zero count and |aR| =
+    |R| / |ann_r(a)|; a lies in aR, so aR = bR exactly when a is in bR and
+    the zero counts agree, and only the first a of each aR builds a set."""
+    if ring._principal is None:
+        whole, groups, by_ann = 0, [], {}
+        for a in range(ring.size):
+            row = ring.mul_row(a)
+            ann = row.count(0)
+            if ann == 1:
+                whole += 1
+            elif group := next((g for g in by_ann.get(ann, ()) if a in g[0]), None):
+                group[2] += ann
+            else:
+                groups.append([frozenset(row), a, ann])
+                by_ann.setdefault(ann, []).append(groups[-1])
+        ring._principal = whole, tuple(map(tuple, groups))
+    return ring._principal
+
+
 def prob_annsum(ring: Ring, x: RingElement | int,
                 cap: int | None = DEFAULT_SIZE_CAP) -> ProbFraction:
     """Annihilator-sum engine: add |ann_r(a)| whenever x lies in aR."""
     check_size_cap(ring, cap)
     xi = _index_of(ring, x)
-    n = ring.size
-    hits = 0
-    for a in range(n):
-        row = ring.mul_row(a)
-        if xi in row:
-            hits += row.count(0)
-    return ProbFraction(hits, n * n)
+    whole, groups = _principal_partition(ring)
+    hits = whole + sum(ann for reached, _, ann in groups if xi in reached)
+    return ProbFraction(hits, ring.size ** 2)
 
 
 def pair_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
@@ -136,22 +153,11 @@ def pair_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ..
 
 def annsum_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
     """All-x analogue of prob_annsum (for cross-validation): x gets the
-    sum of |ann_r(a)| over the a with x in aR.  The a are grouped by aR
-    and each group's sum is added once over its aR.  |aR| = |R| /
-    |ann_r(a)|, so the a with |ann_r(a)| = 1 are those with aR = R."""
+    sum of |ann_r(a)| over the a with x in aR, added once per aR."""
     check_size_cap(ring, cap)
-    whole = 0       # how many a have aR = R
-    ann_sums: dict[frozenset[int], int] = {}
-    for a in range(ring.size):
-        row = ring.mul_row(a)
-        ann = row.count(0)
-        if ann == 1:
-            whole += 1
-        else:
-            reached = frozenset(row)
-            ann_sums[reached] = ann_sums.get(reached, 0) + ann
+    whole, groups = _principal_partition(ring)
     counts = [whole] * ring.size
-    for reached, ann in ann_sums.items():
+    for reached, _, ann in groups:
         for x in reached:
             counts[x] += ann
     return tuple(counts)

@@ -89,13 +89,14 @@ class Ring:
     def _init_tables(self) -> None:
         self._hash: int | None = None
         self._commutative: bool | None = None
-        # per-ring memos of structure_report, invariants, pair_counts and
-        # spectrum, and of recipe.components (False until first computed)
+        # per-ring memos; recipe.components is False until first computed
         self._structure = None
         self._invariants = None
         self._components = False
         self._pair_counts: tuple[int, ...] | None = None
         self._spectrum = None
+        self._principal = None
+        self._formulas: dict = {}
         self._mul_rows: list[array] | None = None
         self._add_rows: list[array] | None = None
         self._neg_list: array | None = None

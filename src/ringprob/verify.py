@@ -14,7 +14,8 @@ namespace at call time, so a test can swap any of them out.
 
 A run builds each ring once: the suites with their own targets (thm32,
 remark_zn) check the corpus's instance of any equal ring.  lemma26 closes
-one principal ideal per distinct gR and still checks the quotient by
+one principal ideal per distinct gR, read off the partition by gR that
+lemma23's annsum_counts also reads, and still checks the quotient by
 every proper one.
 """
 
@@ -43,7 +44,7 @@ from .closedform import (
 )
 from .corpus import default_corpus
 from .errors import ValidationError
-from .probability import ProbFraction, annsum_counts, pair_counts
+from .probability import ProbFraction, _principal_partition, annsum_counts, pair_counts
 from .recipe import components
 from .rings import ProductRing, Ring, quotient_make
 from .specparse import parse_ring_spec
@@ -199,17 +200,11 @@ def _lemma25(ring: Ring):
 def _proper_principal_ideals(ring: Ring) -> list[frozenset[int]]:
     """Every proper ideal RgR, in order of its first generator g.
 
-    RgR = R(gR) depends on g only through the set gR, so only the first g
-    with each gR is closed; that g is also the first to give its ideal,
-    so the order is the one a closure of every g would give.  A g whose
-    row has one zero has |gR| = |R| / |ann_r(g)| = |R|, so RgR = R is not
-    proper and g is skipped before any set is built."""
-    first_g = {}
-    for g in range(ring.size):
-        row = ring.mul_row(g)
-        if row.count(0) != 1:
-            first_g.setdefault(frozenset(row), g)
-    ideals = (principal_ideal_members(ring, g) for g in first_g.values())
+    RgR = R(gR) depends on g only through gR, so only the first g of each
+    proper gR in the ring's partition by gR is closed; that g is also the
+    first to give its ideal, so the order is a closure of every g's."""
+    _, groups = _principal_partition(ring)
+    ideals = (principal_ideal_members(ring, g) for _, g, _ in groups)
     return list(dict.fromkeys(m for m in ideals if len(m) < ring.size))
 
 

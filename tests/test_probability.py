@@ -1,10 +1,13 @@
 """Probability engines against definitional oracles and each other."""
 
 import gc
+import pickle
 import weakref
+from math import prod
 
 import pytest
 
+from ringprob.closedform import prob_auto, prob_formula
 from ringprob.corpus import default_corpus
 from ringprob.errors import EnumerationLimitExceeded, MixedRings, SizeCapExceeded
 from ringprob.probability import (
@@ -16,8 +19,8 @@ from ringprob.probability import (
     prob_brute,
     spectrum,
 )
-from ringprob.rings import field_ring, matrix_ring, product, quotient_make, zmod
-from ringprob.specparse import parse_ring_spec
+from ringprob.rings import DEFAULT_SIZE_CAP, field_ring, matrix_ring, product, quotient_make, zmod
+from ringprob.specparse import parse_element, parse_ring_spec
 from ringprob.structure import structure_report
 from ringprob.verify import _proper_principal_ideals
 
@@ -49,6 +52,21 @@ class TestProbFraction:
         assert ProbFraction(1, 3) < ProbFraction(1, 2)
         assert ProbFraction(2, 4) <= ProbFraction(1, 2)
         assert ProbFraction(3, 4) > ProbFraction(2, 3)
+        assert ProbFraction(2, 4) >= ProbFraction(1, 2)
+        assert not ProbFraction(1, 2) < ProbFraction(2, 4)
+        assert not ProbFraction(1, 2) > ProbFraction(2, 4)
+        assert not ProbFraction(2, 3) >= ProbFraction(3, 4)
+        assert not ProbFraction(2, 3) <= ProbFraction(1, 3)
+
+    @pytest.mark.parametrize("compare", [
+        lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b])
+    def test_ordering_with_another_type_is_a_type_error(self, compare):
+        half = ProbFraction(1, 2)
+        for other in (1, 0.5, (1, 2), None):
+            with pytest.raises(TypeError):
+                compare(half, other)
+            with pytest.raises(TypeError):
+                compare(other, half)
 
     def test_display_is_reduced(self):
         assert str(ProbFraction(15, 36)) == "5/12"
@@ -141,9 +159,11 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("rings", [
         "default corpus", "Z625", "M2(GF5)", "triv(4,3)", "corpus quotients"])
     def test_annsum_counts_match_single_target_engine(self, rings):
-        """annsum_counts groups the a by aR; prob_annsum scans every a for
-        one x.  They agree at every x, on rings of up to 625 elements and
-        on the 71 quotients by proper principal ideals."""
+        """annsum_counts walks the ring's partition by aR over every x;
+        prob_annsum reads the same partition for one x.  They agree at
+        every x, on rings of up to 625 elements and on the 71 quotients by
+        proper principal ideals.  Both read one partition, so the oracle
+        is test_annsum_matches_pair_counts_at_every_target."""
         if rings == "default corpus":
             group = [ring for _, ring in default_corpus()]
         elif rings == "corpus quotients":
@@ -155,6 +175,22 @@ class TestEngineEquivalence:
         for ring in group:
             assert list(annsum_counts(ring, cap=None)) == \
                 [prob_annsum(ring, x, cap=None).hits for x in range(ring.size)]
+
+    @pytest.mark.parametrize("rings", [
+        "default corpus", "Z625", "M2(GF5)", "triv(4,3)", "corpus quotients"])
+    def test_annsum_matches_pair_counts_at_every_target(self, rings):
+        """pair_counts bins every product and shares nothing with the
+        partition by aR that prob_annsum reads."""
+        if rings == "default corpus":
+            group = [ring for _, ring in default_corpus()]
+        elif rings == "corpus quotients":
+            group = [quotient_make(ring, members) for _, ring in default_corpus()
+                     for members in _proper_principal_ideals(ring)]
+        else:
+            group = [parse_ring_spec(rings)]
+        for ring in group:
+            counts = pair_counts(ring, cap=None)
+            assert [prob_annsum(ring, x, cap=None).hits for x in range(ring.size)] == list(counts)
 
     def test_zmod_counts_match_pure_integer_oracle(self):
         for n in range(2, 13):
@@ -194,6 +230,71 @@ class TestMemo:
         del ring
         gc.collect()
         assert ref() is None
+
+    def test_class_memos_do_not_keep_the_ring_alive(self):
+        # Z58 is built nowhere else in the suite either
+        ring = zmod(58)
+        prob_auto(ring, 2)
+        prob_formula(ring, 4)
+        prob_annsum(ring, 2)
+        ref = weakref.ref(ring)
+        del ring
+        gc.collect()
+        assert ref() is None
+
+
+class TestClassMemo:
+    """A ring keeps one closed-form result per class and one partition of
+    R by aR, so a repeated query reads the memo."""
+
+    @pytest.mark.parametrize("spec, first, second", [
+        ("M2(GF4)", "[[1,0],[0,0]]", "[[0,1],[0,0]]"),
+        ("chain(2,8)", "0,0,1", "0,0,1,1"),
+        ("Z1000", "10", "30"),
+        ("Z8 x GF8", "(2,1)", "(6,(0,1))"),
+    ])
+    def test_one_result_per_class(self, spec, first, second):
+        ring = parse_ring_spec(spec)
+        x, y = (parse_element(ring, e).index for e in (first, second))
+        assert x != y
+        assert prob_formula(ring, x) is prob_formula(ring, y) is prob_auto(ring, y)
+        assert prob_formula(ring, x).value == prob_brute(ring, x)
+
+    def test_partition_is_memoized(self):
+        ring = zmod(64)
+        prob_annsum(ring, 8)
+        partition = ring._principal
+        assert partition is not None
+        assert prob_annsum(ring, 4) == prob_brute(ring, 4)
+        assert annsum_counts(ring) == pair_counts(ring)
+        assert ring._principal is partition
+
+    def test_memo_stops_at_the_size_cap(self):
+        """Z_n over the first 13 primes has 2^13 classes: 0 or a unit in
+        each component.  One query per class keeps at most
+        DEFAULT_SIZE_CAP results, and each answer is a fresh ring's."""
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+        n = prod(primes)
+        ring = zmod(n)
+        for mask in range(1 << len(primes)):
+            zero = prod(p for i, p in enumerate(primes) if mask >> i & 1)
+            x = zero * pow(zero, -1, n // zero) % n if zero < n else 0   # 0 mod zero, 1 mod the rest
+            got, fresh = prob_formula(ring, x), prob_formula(zmod(n), x)
+            assert (got, got.applicability) == (fresh, fresh.applicability)
+        assert len(ring._formulas) == DEFAULT_SIZE_CAP
+
+    def test_shared_results_are_read_only(self):
+        result = prob_formula(parse_ring_spec("chain(2,8)"), 4)
+        with pytest.raises(TypeError):
+            result.applicability["layer"] = 3
+        with pytest.raises(TypeError):
+            del result.applicability["layer"]
+        assert result.applicability["layer"] == 2
+        assert "applicability={'local': True, " in repr(result)
+        copied = pickle.loads(pickle.dumps(result))
+        assert copied.applicability == result.applicability
+        with pytest.raises(TypeError):
+            copied.applicability["layer"] = 3
 
 
 class TestNormalization:
