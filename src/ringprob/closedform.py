@@ -275,7 +275,7 @@ def _formula(ring: Ring, xi: int, key) -> FormulaResult:
             factors, split = components(ring)
             parts = [_formula(*part) for part in zip(factors, split(xi), key)]
             value = prod((part.value for part in parts), start=ProbFraction(1, 1))
-            result = FormulaResult(value, "product", {"components": [p.formula for p in parts]})
+            result = FormulaResult(value, "product", {"components": tuple(p.formula for p in parts)})
         else:
             chain = invariants(ring).is_max_chain
             result = (prob_chain_formula if chain else prob_j2zero_formula)(ring, xi)

@@ -24,7 +24,7 @@ from math import gcd
 from ._record import Record
 from .errors import MixedRings, ValidationError
 from .recipe import Invariants, invariants, matrix_rank
-from .rings import DEFAULT_SIZE_CAP, MatrixRing, Ring, RingElement, check_size_cap
+from .rings import DEFAULT_SIZE_CAP, MatrixRing, QuotientRing, Ring, RingElement, check_size_cap
 
 
 @total_ordering
@@ -140,14 +140,18 @@ def prob_annsum(ring: Ring, x: RingElement | int,
 
 def pair_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
     """Hit count per product index from one pass over all ordered pairs;
-    memoized on the ring instance."""
+    memoized on the ring instance.  R/{0} has its parent's indices and
+    products, so the two share one memo, filled by either's first call."""
     check_size_cap(ring, cap)
     if ring._pair_counts is None:
-        counts = [0] * ring.size
-        for a in range(ring.size):
-            for v in ring.mul_row(a):
-                counts[v] += 1
-        ring._pair_counts = tuple(counts)
+        same = ring.parent if isinstance(ring, QuotientRing) and ring.members == {0} else ring
+        if same._pair_counts is None:
+            counts = [0] * ring.size
+            for a in range(ring.size):
+                for v in ring.mul_row(a):
+                    counts[v] += 1
+            same._pair_counts = tuple(counts)
+        ring._pair_counts = same._pair_counts
     return ring._pair_counts
 
 

@@ -9,7 +9,9 @@ one (add_row, add_index, neg_index), so a query that never enumerates
 builds neither.  A quotient ring sets its mul rows at construction (R/{0}
 shares its parent's, any other quotient keeps those its coset check
 gathers).  Threads racing on a first access may each build a table, with
-equal results.
+equal results.  A row is a Sequence[int]: bytes up to 256 elements, where
+one row read through another is a single bytes.translate (_gather), and
+an array of shorts above; Z_n's rows are slices of a ruler.
 
 Additive presentation.  Each ring lists its summands, slowest first: an
 int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
@@ -46,7 +48,7 @@ import json
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter
 
 from .errors import (
@@ -72,8 +74,24 @@ ENUMERATION_LIMIT = 2 ** 16
 TABLE_RING_CAP = 256
 
 
-def _row_typecode(size: int) -> str:
-    return "B" if size <= 256 else "H" if size <= 65536 else "l"
+def _row(size: int, values: Iterable[int]) -> Sequence[int]:
+    """A row of a ring of this size: bytes up to 256 elements, else shorts
+    (longs above 2^16, where rows are only computed per call)."""
+    return bytes(values) if size <= 256 else array("H" if size <= 65536 else "l", values)
+
+
+def _join(size: int, pieces: Iterable[Sequence[int]]) -> Sequence[int]:
+    """A row of a ring of this size from slices of its rows, joined raw."""
+    raw = b"".join(pieces)
+    return raw if size <= 256 else array("H", raw)
+
+
+def _gather(table: Sequence[int], idx: Sequence[int]) -> Sequence[int]:
+    """[table[i] for i in idx]: bytes by one C-level translate when both
+    are bytes (each then at most 256 long), else a list."""
+    if type(table) is bytes and type(idx) is bytes:
+        return idx.translate(table.ljust(256, b"\0"))
+    return [table[i] for i in idx]
 
 
 class Ring:
@@ -97,9 +115,9 @@ class Ring:
         self._spectrum = None
         self._principal = None
         self._formulas: dict = {}
-        self._mul_rows: list[array] | None = None
-        self._add_rows: list[array] | None = None
-        self._neg_list: array | None = None
+        self._mul_rows: list[Sequence[int]] | None = None
+        self._add_rows: list[Sequence[int]] | None = None
+        self._neg_list: Sequence[int] | None = None
         # (stride, radix, opaque ring or None), fastest digit first
         self._digits: list[tuple[int, int, Ring | None]] = []
         stride = 1
@@ -125,11 +143,11 @@ class Ring:
         if self._add_rows is None:
             if self.size > DEFAULT_SIZE_CAP:
                 return False
-            self._neg_list = array(_row_typecode(self.size), map(self._neg, range(self.size)))
+            self._neg_list = _row(self.size, map(self._neg, range(self.size)))
             self._add_rows = self._build_add_rows()
         return True
 
-    def _build_add_rows(self) -> list[array]:
+    def _build_add_rows(self) -> list[Sequence[int]]:
         """Add rows from the additive presentation.
 
         Add row a: let v be a's slowest nonzero digit, at stride s, and
@@ -138,8 +156,10 @@ class Ring:
         each run of radix*s indices (a rotation for a cyclic digit), so the
         row is rest's row re-sliced."""
         n = self.size
-        code = _row_typecode(n)
-        add_rows = [array(code, range(n))]
+        if self._cyclic:
+            double = _row(n, range(n)) * 2      # row a: range(n) rotated by a
+            return [double[a:a + n] for a in range(n)]
+        add_rows = [_row(n, range(n))]
         for a in range(1, n):
             for stride, m, opaque in reversed(self._digits):
                 v = a // stride % m
@@ -150,18 +170,17 @@ class Ring:
             else:
                 cuts = [(t * stride, (t + 1) * stride) for t in opaque.add_row(v)]
             prev = add_rows[a - v * stride]
-            row = array(code)
-            for base in range(0, n, m * stride):
-                for lo, hi in cuts:
-                    row += prev[base + lo:base + hi]
-            add_rows.append(row[:])     # an exact-size copy drops the slack += leaves
+            add_rows.append(_join(n, [prev[base + lo:base + hi]
+                                      for base in range(0, n, m * stride) for lo, hi in cuts]))
         return add_rows
 
-    def _build_mul_rows(self) -> list[array]:
+    def _build_mul_rows(self) -> list[Sequence[int]]:
         """Mul rows; only a ring of one cyclic digit skips the add rows.
 
         There 1 generates the additive group, so a*b = (a*e)*b mod n with
-        e = 1*1, and row a repeats its first n / gcd(a*e, n) entries.
+        e = 1*1, and row a repeats its first n / gcd(a*e, n) entries, cut
+        as strided slices of a ruler, range(n) repeated about 2*sqrt(n)
+        times: with c = a*e, c*(b + j) % n = ruler[c*b % n + c*j] inside it.
 
         Any other ring builds its add rows first.  Column g, a -> a*g, for
         each additive generator g: a*g = (v*s)*g + rest*g, and the a led by
@@ -176,28 +195,33 @@ class Ring:
         calls, never on all pairs.
         """
         n = self.size
-        code = _row_typecode(n)
         if self._cyclic:
             e = self._mul(1, 1)
+            ruler = _row(n, range(n)) * (2 * isqrt(n) + 2)
             rows = []
             for a in range(n):
-                c = a * e % n
+                c = a * e % n or n      # c = n: the zero row, of period 1
                 period = n // gcd(c, n)
-                head = [x % n for x in range(0, c * period, c)] if c else [0]
-                rows.append(array(code, head) * (n // period))
+                cuts, s, left = [], 0, period
+                while left:
+                    k = min(left, (len(ruler) - 1 - s) // c + 1)
+                    cuts.append(ruler[s:s + c * k:c])
+                    s, left = (s + c * k) % n, left - k
+                rows.append(_join(n, cuts * (n // period)))
             return rows
         self._add_table()
         add_rows = self._add_rows
+        zero = b"\0" if n <= 256 else [0]      # columns and rows grow from it
         cols = {}
         for g in self.additive_generators():
-            col = cols[g] = [0]
+            col = zero[:]
             for stride, m, _ in self._digits:
                 for v in range(1, m):
-                    shift = add_rows[self._mul(v * stride, g)]
-                    col += [shift[c] for c in col[:stride]]
+                    col += _gather(add_rows[self._mul(v * stride, g)], col[:stride])
+            cols[g] = col
         mul_rows = []
         for a in range(n):
-            row = [0]
+            row = zero[:]
             for stride, m, opaque in self._digits:
                 if opaque is None:
                     # doubling: row[(k + c)*s + y] = k*(a*e) + row[c*s + y]
@@ -205,12 +229,13 @@ class Ring:
                     k = 1
                     while k < m:
                         shift = add_rows[step[row[(k - 1) * stride]]]
-                        row += [shift[y] for y in row[:min(k, m - k) * stride]]
+                        row += _gather(shift, row[:min(k, m - k) * stride])
                         k = min(2 * k, m)
                 else:
-                    prods = [cols[c * stride][a] for c in range(1, m)]
-                    row += [add_rows[x][y] for x in prods for y in row]
-            mul_rows.append(array(code, row))
+                    low = row[:]
+                    for c in range(1, m):
+                        row += _gather(add_rows[cols[c * stride][a]], low)
+            mul_rows.append(_row(n, row))
         return mul_rows
 
     # -- arithmetic: addition and negation digit by digit, _mul per class ----
@@ -300,7 +325,7 @@ class Ring:
         """Row i of the multiplication table: [i*0, i*1, ..., i*(n-1)]."""
         if self._mul_rows is not None or self._mul_table():
             return self._mul_rows[i]
-        return array(_row_typecode(self.size), [self._mul(i, j) for j in range(self.size)])
+        return _row(self.size, [self._mul(i, j) for j in range(self.size)])
 
     def mul_column(self, j: int) -> list[int]:
         """Column j of the multiplication table: [0*j, 1*j, ..., (n-1)*j]."""
@@ -311,7 +336,7 @@ class Ring:
     def add_row(self, i: int) -> Sequence[int]:
         if self._add_rows is not None or self._add_table():
             return self._add_rows[i]
-        return array(_row_typecode(self.size), [self._add(i, j) for j in range(self.size)])
+        return _row(self.size, [self._add(i, j) for j in range(self.size)])
 
     def element(self, i: int) -> "RingElement":
         if not 0 <= i < self.size:
@@ -692,7 +717,7 @@ class TableRing(Ring):
                 raise ValidationError(f"{name} table is not {n}x{n}")
             if any(not 0 <= x < n for row in tab for x in row):
                 raise ValidationError(f"{name} table entry out of range")
-            tables.append(tab)
+            tables.append([_row(n, row) for row in tab])
         if not 0 <= one < n:
             raise ValidationError("designated identity index out of range")
         self._audit(*tables, one)
@@ -701,12 +726,11 @@ class TableRing(Ring):
         self.source_path = source_path
         self.summands = (self,)
         self._init_tables()
-        code = _row_typecode(n)
-        self._add_rows, self._mul_rows = ([array(code, row) for row in tab] for tab in tables)
-        self._neg_list = array(code, [row.index(0) for row in tables[0]])
+        self._add_rows, self._mul_rows = tables
+        self._neg_list = _row(n, [row.index(0) for row in self._add_rows])
 
     @staticmethod
-    def _audit(add: list[list[int]], mul: list[list[int]], one: int) -> None:
+    def _audit(add: list[Sequence[int]], mul: list[Sequence[int]], one: int) -> None:
         """Refuse tables that are not a unital ring, checking each axiom with
         one argument an additive generator: O(n^2 d) lookups for d of them,
         d <= log2 n once + is a group.  A generator is each nonzero index
@@ -734,7 +758,7 @@ class TableRing(Ring):
                         todo += [add[x][h] for h in gens]
         for g in gens:
             for ax in add:      # over y: (x+g)+y against x+(g+y)
-                if add[ax[g]] != [ax[v] for v in add[g]]:
+                if add[ax[g]] != _gather(ax, add[g]):
                     raise ValidationError("addition is not associative")
         if any(mul[one][j] != j or mul[j][one] != j for j in rng):
             raise ValidationError("designated 1 is not a two-sided identity")
@@ -744,14 +768,14 @@ class TableRing(Ring):
             ag, mg = add[g], mul[g]
             for a, ma in enumerate(mul):    # over b: a(g+b) and (g+a)b
                 sag = add[ma[g]]
-                if [ma[v] for v in ag] != [sag[v] for v in ma]:
+                if _gather(ma, ag) != _gather(sag, ma):
                     raise ValidationError("left distributivity fails")
-                if mul[ag[a]] != [add[x][y] for x, y in zip(mg, ma)]:
+                if mul[ag[a]] != _row(n, [add[x][y] for x, y in zip(mg, ma)]):
                     raise ValidationError("right distributivity fails")
         for g in gens:
-            col = [row[g] for row in mul]
+            col = _row(n, [row[g] for row in mul])
             for ma in mul:      # over b: (ab)g against a(bg)
-                if [col[v] for v in ma] != [ma[v] for v in col]:
+                if _gather(col, ma) != _gather(ma, col):
                     raise ValidationError("multiplication is not associative")
 
     def decode(self, i):
@@ -764,7 +788,7 @@ class TableRing(Ring):
         return f"table:{self.source_path}" if self.source_path else f"table:<{self.size} elements>"
 
     def key(self):
-        return ("table", self.one_index, b"".join(map(bytes, self._add_rows + self._mul_rows)))
+        return ("table", self.one_index, b"".join(self._add_rows + self._mul_rows))
 
 
 class QuotientRing(Ring):
@@ -785,7 +809,8 @@ class QuotientRing(Ring):
         self.parent = parent
         self.members = members
         pn = parent.size
-        others = list(members - {0})
+        index = bytes if pn <= 256 else list    # the type of parent index lists
+        others = index(members - {0})
         cmap = [-1] * pn  # parent index -> its coset's index
         reps = []
         cosets = []     # the members of each coset other than its representative
@@ -793,15 +818,13 @@ class QuotientRing(Ring):
             if cmap[x] < 0:
                 # every smaller index already lies in another coset, so x
                 # is the minimal index of x + I
-                row = parent.add_row(x)
-                coset = [row[i] for i in others]
+                coset = _gather(parent.add_row(x), others)
                 cmap[x] = len(reps)
                 for y in coset:
                     cmap[y] = len(reps)
                 reps.append(x)
                 cosets.append(coset)
-        self._cmap = cmap
-        self._reps = reps
+        self._cmap, self._reps = index(cmap), index(reps)
         self.size = len(reps)
         self.one_index = cmap[parent.one_index]
         self.summands = (self,)
@@ -812,30 +835,31 @@ class QuotientRing(Ring):
             # R/{0}: cosets are single elements, so the check compares rows with themselves
             self._mul_rows = list(map(parent.mul_row, range(pn)))
 
-    def _build_add_rows(self) -> list[array]:
+    def _build_add_rows(self) -> list[Sequence[int]]:
         # Cosets add through their representatives: row i is the parent's
         # add row of representative i, read at every representative and
         # mapped to cosets.  The mul rows were set at construction.
-        code, cmap, reps = _row_typecode(self.size), self._cmap, self._reps
-        return [array(code, [cmap[row[r]] for r in reps]) for row in map(self.parent.add_row, reps)]
+        cmap, reps = self._cmap, self._reps
+        return [_row(self.size, _gather(cmap, _gather(row, reps)))
+                for row in map(self.parent.add_row, reps)]
 
-    def _assert_well_defined(self, cosets: list[list[int]]) -> list[array] | None:
+    def _assert_well_defined(self, cosets: list[Sequence[int]]) -> list[Sequence[int]] | None:
         """cmap[x*y] == cmap[rep(x)*rep(y)] for every parent pair, compared
         a whole row at a time: cmap o row_x against the quotient's row
         read through cmap, which is computed once per coset from the
         representative's row, itself the first row compared.  Returns the
         quotient's mul rows, or None above DEFAULT_SIZE_CAP."""
         parent, cmap, reps = self.parent, self._cmap, self._reps
-        code, keep = _row_typecode(self.size), self.size <= DEFAULT_SIZE_CAP
+        keep = self.size <= DEFAULT_SIZE_CAP
         mul_rows = []
         for rep, coset in zip(reps, cosets):
-            got = [cmap[v] for v in parent.mul_row(rep)]
-            qrow = [got[r] for r in reps]
-            want = [qrow[c] for c in cmap]
-            if got != want or any([cmap[v] for v in parent.mul_row(x)] != want for x in coset):
+            got = _gather(cmap, parent.mul_row(rep))
+            qrow = _gather(got, reps)
+            want = _gather(qrow, cmap)
+            if got != want or any(_gather(cmap, parent.mul_row(x)) != want for x in coset):
                 raise NotAnIdeal("multiplication is not well-defined on cosets")
             if keep:
-                mul_rows.append(array(code, qrow))
+                mul_rows.append(_row(self.size, qrow))
         return mul_rows if keep else None
 
     def _add(self, i, j):

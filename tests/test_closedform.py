@@ -473,9 +473,21 @@ class TestDispatch:
         ring = zmod(1000)
         result = prob_auto(ring, 10)
         assert result.formula == "product"
-        assert result.applicability == {"components": ["chain", "chain"]}
+        assert result.applicability == {"components": ("chain", "chain")}
         assert result.value == prob_brute(ring, 10)
         assert prob_auto(ring, 3).formula == "unit"
+
+    def test_shared_product_result_cannot_be_mutated(self):
+        # 10 and 30 share one class of Z1000 = Z8 x Z125, so one result
+        ring = zmod(1000)
+        shared = prob_formula(ring, 10)
+        with pytest.raises(AttributeError):
+            shared.applicability["components"].append("x")
+        with pytest.raises(TypeError):
+            shared.applicability["components"] = ()
+        other = prob_formula(ring, 30)
+        assert other is shared
+        assert other.applicability == {"components": ("chain", "chain")}
 
     def test_formula_unavailable(self):
         _, table = [m for m in default_corpus() if m[0].startswith("table:")][0]

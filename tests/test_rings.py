@@ -8,6 +8,7 @@ tests/data/tables.sha256.
 import hashlib
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,17 @@ class TestQuotients:
                 for y, c in enumerate(counts):
                     sums[quot.coset_index_of(y)] += c
                 assert [len(members) ** 2 * c for c in pair_counts(quot, cap=None)] == sums
+
+    @pytest.mark.parametrize("parent_first", [True, False])
+    def test_quotient_by_zero_shares_pair_counts(self, parent_first):
+        # R/{0} has R's indices and products: one count, by either's first call
+        ring = matrix_ring(2, 3)
+        quot = quotient_make(ring, {0})
+        first, second = (ring, quot) if parent_first else (quot, ring)
+        counts = pair_counts(first)
+        assert pair_counts(second) is counts
+        assert pair_counts(quotient_make(ring, {0})) is pair_counts(ring)
+        assert sum(counts) == ring.size ** 2
 
     def test_mul_rows_from_coset_check_add_rows_on_demand(self):
         """Each corpus quotient holds its mul rows from construction;
@@ -756,7 +768,9 @@ class TestSplitTables:
     first access; a ring of one cyclic digit builds its mul rows without
     add rows, any other ring from them."""
 
-    @pytest.mark.parametrize("spec", [f"Z{n}" for n in range(2, 301)]
+    # Z_n's rows are strided slices of a ruler, each restarting where the
+    # last ran out; 360-1024 take the most restarts per row
+    @pytest.mark.parametrize("spec", [f"Z{n}" for n in (*range(2, 301), 360, 625, 1000, 1024)]
                              + [f"GF{p}" for p in (2, 3, 13, 251, 257)])
     def test_cyclic_mul_rows_equal_mul_at_every_pair(self, spec):
         ring = parse_ring_spec(spec)
@@ -782,21 +796,43 @@ class TestSplitTables:
         assert ring._add_rows is not None and ring._mul_rows is not None
         assert ring._neg_list is not None
 
-    @pytest.mark.parametrize("ring_factory, typecode", [
-        (lambda: quotient_make(chain_ring(2, 4), [0, 8]), "B"),
-        (lambda: quotient_make(chain_ring(2, 10), [0, 512]), "H"),
-        (lambda: quotient_make(zmod(600), range(0, 600, 2)), "B"),
-        (lambda: quotient_make(zmod(600), [0, 300]), "H"),
-    ], ids=["chain(2,4)/I", "chain(2,10)/I", "Z600/2", "Z600/300"])
-    def test_byte_and_short_rows_agree_with_ops(self, ring_factory, typecode):
+    @pytest.mark.parametrize("ring_factory, row_type", [
+        (lambda: quotient_make(chain_ring(2, 4), [0, 8]), bytes),
+        (lambda: quotient_make(chain_ring(2, 10), [0, 512]), array),
+        (lambda: quotient_make(zmod(600), range(0, 600, 2)), bytes),
+        (lambda: quotient_make(zmod(600), [0, 300]), array),
+        (lambda: parse_ring_spec(f"table:{fixture_path()} x Z32"), bytes),
+        (lambda: zmod(255), bytes),
+        (lambda: zmod(256), bytes),
+        (lambda: zmod(257), array),
+        (lambda: quotient_make(zmod(625), range(0, 625, 5)), bytes),
+    ], ids=["chain(2,4)/I", "chain(2,10)/I", "Z600/2", "Z600/300", "table x Z32",
+            "Z255", "Z256", "Z257", "Z625/5"])
+    def test_byte_and_short_rows_agree_with_ops(self, ring_factory, row_type):
+        # bytes rows up to 256 elements, arrays of shorts above
         ring = ring_factory()
         n = ring.size
-        assert (n <= 256) == (typecode == "B")
+        assert (n <= 256) == (row_type is bytes)
         for i in range(n):
             add, mul = ring.add_row(i), ring.mul_row(i)
-            assert add.typecode == mul.typecode == typecode
+            assert type(add) is type(mul) is row_type
+            assert row_type is bytes or add.typecode == mul.typecode == "H"
             assert list(add) == [ring._add(i, j) for j in range(n)]
             assert list(mul) == [ring._mul(i, j) for j in range(n)]
+        assert type(ring._neg_list) is row_type
+
+    def test_ruler_rows_of_z4096_cover_every_gcd_class(self):
+        # a row's slices restart where the ruler runs out, more often the
+        # larger a*e is; sample each gcd 2^k with several odd cofactors
+        n = 4096
+        ring = zmod(n)
+        sample = {0, n - 1}
+        for k in range(12):
+            d = 2 ** k
+            sample.update(d * m for m in (1, 3, n // d - 1) if d * m < n)
+        assert {a & -a for a in sample - {0}} == {2 ** k for k in range(12)}
+        for a in sorted(sample):
+            assert list(ring.mul_row(a)) == [a * b % n for b in range(n)]
 
 
 PER_CALL_SPECS = [
