@@ -15,6 +15,7 @@ import sys
 from .closedform import prob_auto, prob_formula
 from .errors import RingProbError, SizeCapExceeded, ValidationError
 from .probability import ProbFraction, prob_annsum, prob_brute, spectrum
+from .recipe import invariants
 from .rings import DEFAULT_SIZE_CAP
 from .specparse import parse_element, parse_ring_spec
 from .structure import structure_report
@@ -70,6 +71,9 @@ def cmd_prob(args) -> int:
     }
     if args.explain:
         payload["method"] = formula_tag or method
+        # the layer that produced the value; a closed form reads the invariants
+        payload["source"] = ("enumeration" if formula_tag in (None, "annsum")
+                             else invariants(ring).source)
         if hypotheses is not None:
             payload["hypotheses"] = {k: hypotheses[k] for k in sorted(hypotheses)}
     print(json.dumps(payload))
@@ -198,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["auto", "brute", "annsum", "formula"],
                    default="auto")
     p.add_argument("--explain", action="store_true",
-                   help="report which formula fired and its hypotheses")
+                   help="report which formula fired, its hypotheses and the layer "
+                        "that produced the value")
     p.add_argument("--force", action="store_true", help="lift the size cap")
     p.set_defaults(func=cmd_prob)
 

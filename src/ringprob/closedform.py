@@ -288,9 +288,20 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
     """Closed form only; raises FormulaUnavailable when none applies.
 
     Reads the ring's invariants, so a recipe ring builds no table here;
-    the targets of one class share one result."""
+    the targets of one class share one result.  A ring of at most
+    DEFAULT_SIZE_CAP elements also keeps that result in one slot per
+    element, so a repeated target skips working out its class; a larger
+    ring keeps only the per-class memo, and a target without a closed form
+    stores nothing."""
     xi = _index_of(ring, x)
-    return _formula(ring, xi, _formula_class(ring, xi))
+    memo = ring._formula_at
+    if memo is None or (result := memo[xi]) is None:
+        result = _formula(ring, xi, _formula_class(ring, xi))
+        if ring.size <= DEFAULT_SIZE_CAP:
+            if memo is None:
+                memo = ring._formula_at = [None] * ring.size
+            memo[xi] = result
+    return result
 
 
 def prob_auto(ring: Ring, x: RingElement | int,

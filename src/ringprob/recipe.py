@@ -250,8 +250,9 @@ def _product(factors: tuple[Ring, ...], split: Callable[[int], tuple]) -> Invari
     def layer(i):
         return min(f.radical_layer(c) for f, c in zip(parts, split(i)) if c)
 
+    source = "structure report" if any(f.source != "recipe" for f in parts) else "recipe"
     return Invariants(prod(f.unit_count for f in parts), False, None, None,
-                      max(f.t for f in parts), is_unit, layer)
+                      max(f.t for f in parts), is_unit, layer, source)
 
 
 def _trivial_extension(q: int, m: int) -> Invariants:

@@ -115,6 +115,7 @@ class Ring:
         self._spectrum = None
         self._principal = None
         self._formulas: dict = {}
+        self._formula_at: list | None = None     # per element index, |R| <= DEFAULT_SIZE_CAP
         self._mul_rows: list[Sequence[int]] | None = None
         self._add_rows: list[Sequence[int]] | None = None
         self._neg_list: Sequence[int] | None = None

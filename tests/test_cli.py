@@ -53,6 +53,29 @@ class TestProb:
         assert payload["hypotheses"]["q"] == 2
         assert payload["hypotheses"]["n"] == 3
 
+    @pytest.mark.parametrize("ring, x, method, expected", [
+        ("Z8", "2", "formula", ("chain", "recipe")),
+        ("M2(GF4) x Z3", "#0", "auto", ("product", "recipe")),
+        ("table:<fixture> x Z3", "(#5,1)", "auto", ("unit", "structure report")),
+        ("table:<fixture>", "#5", "formula", ("unit", "structure report")),
+        ("Z8", "2", "brute", ("brute", "enumeration")),
+        ("Z8", "2", "annsum", ("annsum", "enumeration")),
+        ("table:<fixture>", "#0", "auto", ("annsum", "enumeration")),
+    ])
+    def test_explain_names_the_source(self, capsys, ring, x, method, expected):
+        """A closed form names its ring's invariants' source, an
+        enumeration (either engine, or the auto fallback) "enumeration"."""
+        ring = ring.replace("<fixture>", fixture_path())
+        code, out, _ = run_cli(capsys, "prob", "--ring", ring, "--x", x,
+                               "--method", method, "--explain")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["method"], payload["source"]) == expected
+        code, plain, _ = run_cli(capsys, "prob", "--ring", ring, "--x", x, "--method", method)
+        assert code == 0
+        assert plain == json.dumps({k: v for k, v in payload.items()
+                                    if k not in ("method", "source", "hypotheses")}) + "\n"
+
     def test_matrix_element_literal(self, capsys):
         code, out, _ = run_cli(capsys, "prob", "--ring", "M2(GF2)",
                                "--x", "[[1,1],[1,1]]")

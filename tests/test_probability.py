@@ -7,9 +7,10 @@ from math import prod
 
 import pytest
 
+from ringprob import closedform, recipe
 from ringprob.closedform import prob_auto, prob_formula
-from ringprob.corpus import default_corpus
-from ringprob.errors import EnumerationLimitExceeded, MixedRings, SizeCapExceeded
+from ringprob.corpus import default_corpus, fixture_path
+from ringprob.errors import EnumerationLimitExceeded, MixedRings, SizeCapExceeded, ValidationError
 from ringprob.probability import (
     ProbFraction,
     annsum_counts,
@@ -244,8 +245,9 @@ class TestMemo:
 
 
 class TestClassMemo:
-    """A ring keeps one closed-form result per class and one partition of
-    R by aR, so a repeated query reads the memo."""
+    """A ring keeps one closed-form result per class, one slot per element
+    up to DEFAULT_SIZE_CAP elements, and one partition of R by aR, so a
+    repeated query reads the memo."""
 
     @pytest.mark.parametrize("spec, first, second", [
         ("M2(GF4)", "[[1,0],[0,0]]", "[[0,1],[0,0]]"),
@@ -259,6 +261,61 @@ class TestClassMemo:
         assert x != y
         assert prob_formula(ring, x) is prob_formula(ring, y) is prob_auto(ring, y)
         assert prob_formula(ring, x).value == prob_brute(ring, x)
+
+    @pytest.mark.parametrize("spec, target", [
+        ("M2(GF4)", "[[1,1],[0,1]]"),       # a unit, found by a rank elimination
+        ("M3(GF2)", "#77"),
+        ("Z1000", "10"),
+        ("Z8 x GF8", "(2,1)"),
+    ])
+    def test_repeated_target_reads_its_slot(self, monkeypatch, spec, target):
+        """A repeated target returns the first answer itself and works out
+        no class: no _formula_class, no matrix_rank."""
+        ring = parse_ring_spec(spec)
+        x = parse_element(ring, target).index
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: calls.append(name) or fn(*args))
+
+        counted(closedform, "_formula_class")
+        counted(closedform, "matrix_rank")
+        counted(recipe, "matrix_rank")
+        first = prob_auto(ring, x)
+        assert "_formula_class" in calls
+        calls.clear()
+        assert prob_formula(ring, x) is first and prob_auto(ring, x) is first
+        assert calls == []
+        assert len(ring._formula_at) == ring.size
+        assert first.value == prob_brute(ring, x)
+
+    @pytest.mark.parametrize("n", [6000, 8192])
+    def test_no_slots_above_the_size_cap(self, n):
+        ring = zmod(n)
+        for x in range(0, n, 7):
+            assert prob_auto(ring, x, cap=None) is prob_formula(ring, x)
+        assert ring._formula_at is None
+        assert prob_formula(ring, 14) == prob_formula(zmod(n), 14)
+
+    def test_slot_hit_keeps_the_checks(self):
+        """A memo hit still refuses a ring above prob_auto's cap and an
+        index outside the ring."""
+        ring = zmod(72)
+        result = prob_auto(ring, 6, cap=None)
+        assert ring._formula_at[6] is result
+        with pytest.raises(SizeCapExceeded):
+            prob_auto(ring, 6, cap=64)
+        with pytest.raises(ValidationError):
+            prob_formula(ring, 72)
+        assert prob_auto(ring, 6) is result
+
+    def test_fallback_stores_nothing(self):
+        ring = parse_ring_spec(f"table:{fixture_path()}")
+        for _ in range(2):
+            result = prob_auto(ring, 0)
+            assert (result.formula, result.value) == ("annsum", prob_brute(ring, 0))
+        assert ring._formula_at is None and ring._formulas == {}
 
     def test_partition_is_memoized(self):
         ring = zmod(64)

@@ -33,7 +33,7 @@ def check_z6_zero(out):
 
 def check_z8_explain(out):
     payload = json.loads(out)
-    assert payload["method"] == "chain"
+    assert (payload["method"], payload["source"]) == ("chain", "recipe")
     assert {"q": 2, "n": 3, "layer": 1}.items() <= payload["hypotheses"].items()
 
 

@@ -68,7 +68,7 @@ class TestRecipeMatchesStructure:
     def test_every_element(self, spec):
         ring = build(spec)
         assert invariants(ring).source == (
-            "structure report" if spec.startswith("table:ut2") else "recipe")
+            "structure report" if spec.startswith("table:") else "recipe")
         assert_matches_structure_report(ring)
 
     @pytest.mark.parametrize("name", list(NO_RECIPE))
