@@ -209,10 +209,6 @@ class FieldDescriptor(Record):
     r: int
     modulus: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return self.p ** self.r
-
     def __repr__(self) -> str:
         return f"FieldDescriptor(GF({self.p}^{self.r}))" if self.r > 1 else f"FieldDescriptor(GF({self.p}))"
 

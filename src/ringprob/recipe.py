@@ -45,9 +45,7 @@ from .rings import (
     entry_ops,
     zmod,
 )
-from .structure import structure_report
-
-_LAYER_OF_ZERO = "layer of 0 is not defined; every power contains it"
+from .structure import _LAYER_OF_ZERO, structure_report
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -112,19 +110,20 @@ def _semisimple_layer(x: int) -> int:
 def matrix_rank(x: RingElement) -> int:
     """Rank of a matrix-ring element: the dimension of its column space.
 
-    The columns are read off MatrixRing._entries; the rank does not depend
-    on their order.  Each column is reduced against the echelon basis found
-    so far by fraction-free steps v <- a*v - f*b (a the basis vector's
-    pivot, f the entry of v there), which keep v in the span iff it was
-    and need no inverse; a column left nonzero joins the basis at its
-    first nonzero entry.  Entries are integers mod q over a prime field,
-    else field indices combined by rings.entry_ops."""
+    The columns are read off the ring's digits, column c being digits c*k
+    to c*k + k - 1; the rank does not depend on their order.  Each column
+    is reduced against the echelon basis found so far by fraction-free
+    steps v <- a*v - f*b (a the basis vector's pivot, f the entry of v
+    there), which keep v in the span iff it was and need no inverse; a
+    column left nonzero joins the basis at its first nonzero entry.
+    Entries are integers mod q over a prime field, else field indices
+    combined by rings.entry_ops."""
     ring = x.ring
     if not isinstance(ring, MatrixRing):
         raise ValidationError("matrix_rank needs an element of a matrix ring")
     k, q, prime = ring.k, ring.q, ring.field._cyclic
     add, mul, neg = entry_ops(ring, ring.field)
-    entries = ring._entries(x.index)
+    entries = ring._unpack(x.index)
     basis = []              # (pivot position, pivot value, vector)
     for c in range(0, k * k, k):
         v = entries[c:c + k]
@@ -215,11 +214,7 @@ def _poly_quotient(ring: PolyQuotientRing) -> Invariants | None:
     s = p ** k
 
     def content(i):
-        g = s
-        while i and g > 1:
-            i, c = divmod(i, s)
-            g = gcd(g, c)
-        return g
+        return gcd(s, *ring._unpack(i))
 
     return _local(s ** d - p ** ((k - 1) * d), p ** d, k, k,
                   lambda i: content(i) == 1, lambda i: _valuation(content(i), p))

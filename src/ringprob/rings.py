@@ -24,22 +24,29 @@ digit (Z_n, GF(p)) needs no add rows for its mul rows.  A table ring's
 tables are its rows and a quotient ring reads its tables off its
 parent's; each is one opaque digit of any ring built over it.
 
-Radices per construction, slowest digit first (q = p^r):
-  ZMod(n)              (n,)             index = residue
-  PolyQuotient         base radices * degree
-                                        coefficient vector of base indices,
-                                        constant term least significant;
-                                        GF(q) = Z_p[t]/(f) has (p,)*r
-  Matrix(k, GF(q))     (p,)*(r*k*k)     columns packed left to right, most
-                                        significant first; within a column
-                                        the top entry is most significant;
-                                        each entry is a field index
-  TrivialExtension     (p,)*(r*(m+1))   (a, u_1..u_m), a most significant,
-                                        u_m fastest; each a field index
-  Product              the factors' radices joined, first factor slowest
-  Table                (|R|,) opaque    the raw table index
-  Quotient             (|R|,) opaque    cosets sorted by their minimal
-                                        parent index
+Radices per construction, slowest digit first (q = p^r): the summands'
+sizes, and _radices, the construction's own digits, which decode() and
+encode() read through the one codec (Ring._unpack, Ring._pack):
+                       summands          _radices
+  ZMod(n)              (n,)              ()
+  PolyQuotient         base's * degree   (|base|,)*degree
+  Matrix(k, GF(q))     (p,)*(r*k*k)      (q,)*(k*k)
+  TrivialExtension     (p,)*(r*(m+1))    (q,)*(m+1)
+  Product              factors' joined   the factor sizes
+  Table, Quotient      (|R|,) opaque     ()
+Element forms over _radices (or the index itself where it is empty):
+  ZMod                 the residue
+  PolyQuotient         coefficient vector of base indices, constant term
+                       least significant; GF(q) = Z_p[t]/(f) has (p,)*r
+  Matrix               columns packed left to right, most significant
+                       first; within a column the top entry is most
+                       significant, so entry (r, c) is digit c*k + r; each
+                       entry is a field index
+  TrivialExtension     (a, u_1..u_m), a most significant, u_m fastest;
+                       each a field index
+  Product              the factors' indices, first factor slowest
+  Table                the raw table index
+  Quotient             cosets sorted by their minimal parent index
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ import json
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd, isqrt, prod
 from operator import itemgetter
 
 from .errors import (
@@ -101,6 +109,9 @@ class Ring:
     one_index: int
     # Additive presentation, slowest summand first (see the module docstring).
     summands: tuple
+    # Radices of the construction's digits, slowest first, which the codec
+    # (_unpack, _pack) reads; empty where decode() is the index itself.
+    _radices: tuple[int, ...] = ()
 
     # -- construction-time plumbing -----------------------------------------
 
@@ -128,6 +139,10 @@ class Ring:
             self._digits.append((stride, m, opaque))
             stride *= m
         self._cyclic = self.summands == (self.size,)
+        strides = [self.size]   # of each construction digit, slowest first
+        for m in self._radices:
+            strides.append(strides[-1] // m)
+        self._strides = tuple(strides[1:])
 
     def _mul_table(self) -> bool:
         """Build the mul rows on the first multiplicative access; False for
@@ -276,6 +291,21 @@ class Ring:
         opaque digit, i.e. the elements _build_mul_rows multiplies by."""
         return [g for stride, m, opaque in self._digits
                 for g in ([stride] if opaque is None else range(stride, m * stride, stride))]
+
+    def _unpack(self, i: int) -> list[int]:
+        """The digits of index i over self._radices, slowest first."""
+        out = []
+        for stride in self._strides:
+            out.append(i // stride)
+            i %= stride
+        return out
+
+    def _pack(self, digits: Iterable[int]) -> int:
+        """The index with these digits, slowest first; inverts _unpack."""
+        idx = 0
+        for m, d in zip(self._radices, digits):
+            idx = idx * m + d
+        return idx
 
     def decode(self, i: int):
         """Structural form of element i; encode() inverts it."""
@@ -461,39 +491,19 @@ class MatrixRing(Ring):
         self.field = field
         self.q = field.size
         self.size = self.q ** (k * k)
-        self.one_index = self._encode_identity()
         self.summands = field.summands * (k * k)
+        self._radices = (self.q,) * (k * k)
         self._init_tables()
+        self.one_index = self._pack([int(r == c) for c in range(k) for r in range(k)])
         self._commutative = (k == 1)
-
-    # -- digit packing -------------------------------------------------------
-
-    def _entries(self, i: int) -> list[int]:
-        """The k*k base-q digits of index i, most significant first; entry
-        (r, c) is digit c*k + r."""
-        q = self.q
-        out = [0] * (self.k * self.k)
-        for d in range(len(out) - 1, -1, -1):
-            i, out[d] = divmod(i, q)
-        return out
-
-    def _encode_identity(self) -> int:
-        k = self.k
-        rows = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-        return self.encode(rows)
 
     def decode(self, i):
         k = self.k
-        digits = self._entries(i)
+        digits = self._unpack(i)
         return tuple(tuple(digits[r::k]) for r in range(k))
 
     def encode(self, form) -> int:
-        k, q = self.k, self.q
-        idx = 0
-        for c in range(k):
-            for r in range(k):
-                idx = idx * q + form[r][c]
-        return idx
+        return self._pack(chain.from_iterable(zip(*form)))      # column by column
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -502,20 +512,19 @@ class MatrixRing(Ring):
         j: integers mod q over a prime field, else field indices combined
         by entry_ops."""
         k, q = self.k, self.q
-        a, b = self._entries(i), self._entries(j)
+        a, b = self._unpack(i), self._unpack(j)
         rows = [a[r::k] for r in range(k)]
         prime = self.field._cyclic
         add, mul, _ = entry_ops(self, self.field)
-        out = 0
+        out = []
         for c in range(0, k * k, k):
             col = b[c:c + k]
             for row in rows:
                 if prime:
-                    s = sum(x * y for x, y in zip(row, col)) % q
+                    out.append(sum(x * y for x, y in zip(row, col)) % q)
                 else:
-                    s = reduce(add, map(mul, row, col))
-                out = out * q + s
-        return out
+                    out.append(reduce(add, map(mul, row, col)))
+        return self._pack(out)
 
     def describe(self):
         return f"M{self.k}(GF{self.q})"
@@ -555,24 +564,16 @@ class PolyQuotientRing(Ring):
         self.size = base.size ** self.degree
         self.one_index = base.one_index  # constant coefficient digit
         self.summands = base.summands * self.degree
+        self._radices = (base.size,) * self.degree
         self._label = label
         self._init_tables()
         self._commutative = True
 
     def decode(self, i):
-        s = self.base.size
-        out = []
-        for _ in range(self.degree):
-            out.append(i % s)
-            i //= s
-        return tuple(out)
+        return tuple(self._unpack(i)[::-1])
 
     def encode(self, form) -> int:
-        s = self.base.size
-        idx = 0
-        for c in reversed(tuple(form)):
-            idx = idx * s + c
-        return idx
+        return self._pack(reversed(form))
 
     def _mul(self, i, j):
         add, mul, neg = entry_ops(self, self.base)
@@ -619,29 +620,22 @@ class TrivialExtensionRing(Ring):
         self.size = self.q ** (m + 1)
         self.one_index = self.q ** m          # (1, 0, ..., 0)
         self.summands = field.summands * (m + 1)
+        self._radices = (self.q,) * (m + 1)
         self._init_tables()
         self._commutative = True
 
     def decode(self, i):
-        q, m = self.q, self.m
-        u = [0] * m
-        for t in range(m - 1, -1, -1):
-            u[t] = i % q
-            i //= q
-        return (i, tuple(u))
+        digits = self._unpack(i)
+        return digits.pop(0), tuple(digits)
 
     def encode(self, form) -> int:
         a, u = form
-        idx = a
-        for c in u:
-            idx = idx * self.q + c
-        return idx
+        return self._pack((a, *u))
 
     def _mul(self, i, j):
         add, mul, _ = entry_ops(self, self.field)
-        (a, u), (b, v) = self.decode(i), self.decode(j)
-        w = tuple(add(mul(a, y), mul(b, x)) for x, y in zip(u, v))
-        return self.encode((mul(a, b), w))
+        (a, *u), (b, *v) = self._unpack(i), self._unpack(j)
+        return self._pack([mul(a, b), *(add(mul(a, y), mul(b, x)) for x, y in zip(u, v))])
 
     def describe(self):
         return f"triv({self.q},{self.m})"
@@ -663,27 +657,18 @@ class ProductRing(Ring):
         if len(factors) < 2:
             raise ValidationError("product needs at least 2 factors")
         self.factors = factors
-        self.size = 1
-        for f in factors:
-            self.size *= f.size
-        self.one_index = self.encode(tuple(f.one_index for f in factors))
+        self._radices = tuple(f.size for f in factors)
+        self.size = prod(self._radices)
         self.summands = tuple(s for f in factors for s in f.summands)
         self._init_tables()
+        self.one_index = self._pack([f.one_index for f in factors])
         self._commutative = all(f.is_commutative() for f in factors)
 
     def decode(self, i):
-        out = [0] * len(self.factors)
-        for t in range(len(self.factors) - 1, -1, -1):
-            n = self.factors[t].size
-            out[t] = i % n
-            i //= n
-        return tuple(out)
+        return tuple(self._unpack(i))
 
     def encode(self, form) -> int:
-        idx = 0
-        for f, c in zip(self.factors, form):
-            idx = idx * f.size + c
-        return idx
+        return self._pack(form)
 
     def _mul(self, i, j):
         a, b = self.decode(i), self.decode(j)

@@ -7,9 +7,11 @@ Grammar (whitespace-insensitive between tokens):
            | "chain(" int "," int ")" | "GR(" int "," int "," int ")"
            | "triv(" int "," int ")" | "table:" path
 
-A table path runs to the next whitespace, so follow it with a space
-before any "x" separator.  The extension degree r, of q = p^r in GF, M,
-chain and triv and of GR, is at most finfield.MAX_EXTENSION_DEGREE (8).
+Each atom is one row of the table _ATOMS: its pattern, its constructor
+and its order as a power (b, e) of the spec's integers.  A table path
+runs to the next whitespace, so follow it with a space before any "x"
+separator.  The extension degree r, of q = p^r in GF, M, chain and triv
+and of GR, is at most finfield.MAX_EXTENSION_DEGREE (8).
 """
 
 from __future__ import annotations
@@ -44,60 +46,37 @@ from .rings import (
 # that size exhaust memory before any cap check could run.
 MAX_ORDER_BITS = 4096
 
+
+def _load_table(path: str) -> TableRing:
+    try:
+        return table_ring_from_json(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot load table ring from {path}: {exc}") from exc
+
+
+# One row per atom, tried in order: its pattern, its constructor, and its
+# power, (b, e) with b^e elements, from its integers; None for a table
+# atom, which is sized only once loaded (and whose argument stays a path).
 _ATOMS = [
-    ("matrix", re.compile(r"M(\d+)\(\s*GF(\d+)\s*\)")),
-    ("chain", re.compile(r"chain\(\s*(\d+)\s*,\s*(\d+)\s*\)")),
-    ("gr", re.compile(r"GR\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")),
-    ("triv", re.compile(r"triv\(\s*(\d+)\s*,\s*(\d+)\s*\)")),
-    ("table", re.compile(r"table:(\S+)")),
-    ("gf", re.compile(r"GF(\d+)")),
-    ("zmod", re.compile(r"Z(\d+)")),
+    (re.compile(r"M(\d+)\(\s*GF(\d+)\s*\)"), matrix_ring, lambda k, q: (q, k * k)),
+    (re.compile(r"chain\(\s*(\d+)\s*,\s*(\d+)\s*\)"), chain_ring, lambda q, m: (q, m)),
+    (re.compile(r"GR\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)"), galois_ring,
+     lambda p, k, r: (p, k * r)),
+    (re.compile(r"triv\(\s*(\d+)\s*,\s*(\d+)\s*\)"), trivial_extension,
+     lambda q, m: (q, m + 1)),
+    (re.compile(r"table:(\S+)"), _load_table, None),
+    (re.compile(r"GF(\d+)"), field_ring, lambda q: (q, 1)),
+    (re.compile(r"Z(\d+)"), zmod, lambda n: (n, 1)),
 ]
 
 
-def _build_atom(kind: str, args: tuple) -> Ring:
-    if kind == "zmod":
-        return zmod(*args)
-    if kind == "gf":
-        return field_ring(*args)
-    if kind == "matrix":
-        return matrix_ring(*args)
-    if kind == "chain":
-        return chain_ring(*args)
-    if kind == "gr":
-        return galois_ring(*args)
-    if kind == "triv":
-        return trivial_extension(*args)
-    if kind == "table":
-        path = args[0]
-        try:
-            return table_ring_from_json(path)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot load table ring from {path}: {exc}") from exc
-    raise AssertionError(kind)
-
-
-def _atom_power(kind: str, args: tuple) -> tuple[int, int]:
-    """(b, e) with b^e elements in the atom, from the spec's integers."""
-    if kind == "matrix":
-        k, q = args
-        return q, k * k
-    if kind in ("chain", "triv"):
-        q, m = args
-        return q, m + (kind == "triv")
-    if kind == "gr":
-        p, k, r = args
-        return p, k * r
-    return args[0], 1       # zmod, gf
-
-
-def _check_order(atoms: list[tuple[str, tuple]], cap: int | None) -> None:
+def _check_order(atoms: list[tuple], cap: int | None) -> None:
     """Refuse a spec whose order is above cap, or at least 2^MAX_ORDER_BITS,
     before anything is built.  Table atoms count as 1 here (they hold at
     most TABLE_RING_CAP elements), and so do atoms whose integers their
     constructors reject."""
-    powers = [(b, e) for b, e in (_atom_power(kind, args) for kind, args in atoms
-                                  if kind != "table") if b >= 2 and e >= 1]
+    powers = [(b, e) for b, e in (power(*args) for _, power, args in atoms if power)
+              if b >= 2 and e >= 1]
     # b^e < 2^(e * b.bit_length()), and b^e >= 2^(e * (b.bit_length() - 1)),
     # which is at least half the upper exponent since b >= 2
     if sum(e * b.bit_length() for b, e in powers) <= 2 * MAX_ORDER_BITS:
@@ -134,21 +113,21 @@ def parse_ring_spec(text: str, cap: int | None = None) -> Ring:
             p += 1
         return p
 
-    atoms: list[tuple[str, tuple]] = []
+    atoms: list[tuple] = []     # (constructor, power, arguments) per atom
     pos = skip_ws(pos)
     if pos == n:
         raise ParseError("empty ring spec", pos)
     while True:
-        for kind, rx in _ATOMS:
+        for rx, build, power in _ATOMS:
             m = rx.match(text, pos)
             if m:
                 args = m.groups()
-                if kind != "table":
+                if power:
                     try:
                         args = tuple(map(int, args))
                     except ValueError:      # more digits than int() converts
                         raise ParseError("integer too long", pos) from None
-                atoms.append((kind, args))
+                atoms.append((build, power, args))
                 pos = m.end()
                 break
         else:
@@ -162,7 +141,7 @@ def parse_ring_spec(text: str, cap: int | None = None) -> Ring:
         if pos == n:
             raise ParseError("trailing 'x' with no ring atom", pos)
     _check_order(atoms, cap)
-    rings = [_build_atom(kind, args) for kind, args in atoms]
+    rings = [build(*args) for build, _, args in atoms]
     ring = rings[0] if len(rings) == 1 else ProductRing(rings)
     if cap is not None:             # table atoms are sized only once loaded
         check_size_cap(ring, cap)

@@ -30,6 +30,9 @@ from ._record import Record
 from .errors import NotLocal
 from .rings import Ring, additive_closure, check_size_cap, validate_ideal
 
+# What radical_layer raises at 0, here and in recipe.Invariants.
+_LAYER_OF_ZERO = "layer of 0 is not defined; every power contains it"
+
 
 class Ideal(Record):
     """A validated two-sided ideal, stored as an element-index set."""
@@ -144,7 +147,7 @@ class StructureReport(Record):
         nonzero indices, since 0 lies in every power.
         """
         if index == 0:
-            raise ValueError("layer of 0 is not defined; every power contains it")
+            raise ValueError(_LAYER_OF_ZERO)
         k = 0
         for ideal in self.radical_chain:
             if index in ideal.members:

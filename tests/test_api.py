@@ -61,6 +61,8 @@ REMOVED_ATTRIBUTES = [
     ("rings", "Ring", "one"),
     ("rings", "Ring", "radices"),
     ("rings", "QuotientRing", "representative"),
+    # read by nothing: GF(q)'s order is field_ring(q).size
+    ("finfield", "FieldDescriptor", "order"),
 ]
 # Overrides removed: a table ring sets its rows at load, so it needs no
 # per-call operations and no row builders of its own.

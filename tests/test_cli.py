@@ -272,15 +272,31 @@ class TestExitOnFailure:
 class TestMalformedInput:
     """Bad files and huge specs end in a documented exit code, not exit 1."""
 
-    @pytest.mark.parametrize("add", [5, [[0, 1], [1, "0"]]],
-                             ids=["add-not-a-table", "non-integer-entry"])
-    def test_malformed_table_json_is_usage_error(self, capsys, tmp_path, add):
+    @pytest.mark.parametrize("field, value, message", [
+        ("add", 5, "table ring JSON: add must be a list of lists of ints"),
+        ("add", [[0, 1], [1, "0"]], "table ring JSON: add must be a list of lists of ints"),
+        ("size", None, "table ring JSON missing or malformed field: 'size'"),
+        ("size", 3, "table ring JSON: declared size does not match tables"),
+    ], ids=["add-not-a-table", "non-integer-entry", "missing-size", "size-mismatch"])
+    def test_malformed_table_json_is_usage_error(self, capsys, tmp_path, field, value, message):
+        payload = {"size": 2, "one": 1, "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+        payload[field] = value
         path = tmp_path / "ring.json"
-        path.write_text(json.dumps({"size": 2, "one": 1, "add": add,
-                                    "mul": [[0, 0], [0, 1]]}))
-        code, _, err = run_cli(capsys, "prob", "--ring", f"table:{path}", "--x", "0")
+        path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+        code, out, err = run_cli(capsys, "prob", "--ring", f"table:{path}", "--x", "0")
         assert code == 2
-        assert "list of lists of ints" in err
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("ring, literal, message", [
+        ("M2(GF2)", "[[1,0],1]", "matrix row must be bracketed"),
+        ("triv(2,1)", "(1,0,1)", "expected up to 2 components"),
+    ], ids=["unbracketed-matrix-row", "triv-too-many-components"])
+    def test_malformed_element_literal_is_usage_error(self, capsys, ring, literal, message):
+        code, out, err = run_cli(capsys, "prob", "--ring", ring, "--x", literal)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message} (at position 0)\n"
 
     @pytest.mark.parametrize("content", [None, "[\"Z4\",", "\udcff"],
                              ids=["missing", "bad-json", "not-utf8"])

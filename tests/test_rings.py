@@ -169,6 +169,14 @@ class TestEnumerationOrder:
             with pytest.raises(EnumerationLimitExceeded):
                 rings.check_size_cap(zmod(limit + 1), cap)
 
+    def test_refusal_past_int_str_limit_names_a_power_of_two(self):
+        # |M120(GF2)| = 2^14400 has more decimal digits than str() converts;
+        # parse_ring_spec refuses such a spec before building it, a library
+        # call does not
+        with pytest.raises(EnumerationLimitExceeded, match=(
+                r"^ring has at least 2\^14400 elements, above the enumeration limit of 65536,")):
+            rings.check_size_cap(matrix_ring(120, 2), None)
+
 
 class TestCanonicalIndexing:
     def test_encode_decode_bijection(self):
