@@ -204,7 +204,12 @@ def prob_j2zero_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
 def prob_zn(n: int, x: int) -> FormulaResult:
     """Exact value over the integers mod n: prob_formula on Z_n, which
     multiplies the closed forms of its prime-power components Z_{p^e}."""
-    ring = zmod(n)
+    return zn_formula(zmod(n), x)
+
+
+def zn_formula(ring: Ring, x: int) -> FormulaResult:
+    """prob_zn on this Z_n, whose memos answer a repeated query."""
+    n = ring.n
     return FormulaResult(prob_formula(ring, int(x) % n).value, "zn",
                          {"n": n, "factors": _factorize(n)})
 
@@ -289,18 +294,23 @@ def prob_formula(ring: Ring, x: RingElement | int) -> FormulaResult:
 
     Reads the ring's invariants, so a recipe ring builds no table here;
     the targets of one class share one result.  A ring of at most
-    DEFAULT_SIZE_CAP elements also keeps that result in one slot per
-    element, so a repeated target skips working out its class; a larger
-    ring keeps only the per-class memo, and a target without a closed form
-    stores nothing."""
+    DEFAULT_SIZE_CAP elements also keeps that result, or the refusal's
+    message for a target without a closed form, in one slot per element,
+    so a repeated target skips working out its class; a larger ring keeps
+    only the per-class memo."""
     xi = _index_of(ring, x)
     memo = ring._formula_at
     if memo is None or (result := memo[xi]) is None:
-        result = _formula(ring, xi, _formula_class(ring, xi))
+        try:
+            result = _formula(ring, xi, _formula_class(ring, xi))
+        except FormulaUnavailable as refused:
+            result = str(refused)
         if ring.size <= DEFAULT_SIZE_CAP:
             if memo is None:
                 memo = ring._formula_at = [None] * ring.size
             memo[xi] = result
+    if type(result) is str:
+        raise FormulaUnavailable(result)    # fresh: a kept one's traceback would grow
     return result
 
 

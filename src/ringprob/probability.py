@@ -9,9 +9,10 @@ serve as an oracle for the others:
   pair_counts  - a single pass binning every ordered pair by its product
                  (the workhorse behind full spectra).
 
-prob_annsum and its all-x form annsum_counts read one partition of R by
-the right ideal aR, memoized on the ring; prob_brute and pair_counts
-share nothing with it and stay the independent oracles.
+annsum_counts (memoized, and read by prob_annsum) and delta read one
+partition of R by the right ideal aR, memoized on the ring; prob_brute
+and pair_counts share nothing with it and stay the independent oracles.
+Rows are scanned in C by rings.row_scan, except in prob_brute.
 
 All values are exact integer pairs; nothing here touches floating point.
 """
@@ -24,7 +25,8 @@ from math import gcd
 from ._record import Record
 from .errors import MixedRings, ValidationError
 from .recipe import Invariants, invariants, matrix_rank
-from .rings import DEFAULT_SIZE_CAP, MatrixRing, QuotientRing, Ring, RingElement, check_size_cap
+from .rings import DEFAULT_SIZE_CAP, MatrixRing, QuotientRing, Ring, RingElement
+from .rings import check_size_cap, row_scan
 
 
 @total_ordering
@@ -86,17 +88,22 @@ def _index_of(ring: Ring, x: RingElement | int) -> int:
 
 
 def delta(a: RingElement, x: RingElement) -> int:
-    """1 if some b solves ab = x, else 0 (scan over the full row, so a
-    ring above rings.ENUMERATION_LIMIT is refused)."""
+    """1 if some b solves ab = x, else 0: a set lookup in the partition by
+    aR up to DEFAULT_SIZE_CAP, else a C-level scan of row a per call."""
     ring = a.ring
     check_size_cap(ring, cap=None)
     xi = _index_of(ring, x)
-    return 1 if xi in ring.mul_row(a.index) else 0
+    if ring.size <= DEFAULT_SIZE_CAP:
+        return int(xi in _principal_partition(ring)[2][a.index])
+    hay, needle = row_scan(ring.mul_row(a.index), xi)
+    return int(needle in hay)
 
 
 def prob_brute(ring: Ring, x: RingElement | int,
                cap: int | None = DEFAULT_SIZE_CAP) -> ProbFraction:
-    """Definitional oracle: count ordered pairs (a, b) with ab = x."""
+    """Definitional oracle: count ordered pairs (a, b) with ab = x, by plain
+    row counts: engine-warm keeps every answer, so a faster count (row_scan)
+    would push its peak memory past its bound (ROADMAP item 1)."""
     check_size_cap(ring, cap)
     xi = _index_of(ring, x)
     n = ring.size
@@ -106,25 +113,27 @@ def prob_brute(ring: Ring, x: RingElement | int,
     return ProbFraction(hits, n * n)
 
 
-def _principal_partition(ring: Ring) -> tuple[int, tuple[tuple[frozenset[int], int, int], ...]]:
-    """How many a have aR = R, and for each proper aR, in order of its first
-    a: the set aR, that first a, and the sum of |ann_r(a)| over its a.
+def _principal_partition(ring: Ring) -> tuple[int, tuple, tuple]:
+    """How many a have aR = R; for each proper aR, in order of its first a,
+    the set aR, that first a, and the sum of |ann_r(a)| over its a; and
+    every a's aR, its group's set or one range(|R|) for all a with aR = R.
     Memoized on the ring.  |ann_r(a)| is row a's zero count and |aR| =
     |R| / |ann_r(a)|; a lies in aR, so aR = bR exactly when a is in bR and
     the zero counts agree, and only the first a of each aR builds a set."""
     if ring._principal is None:
-        whole, groups, by_ann = 0, [], {}
-        for a in range(ring.size):
+        whole, groups, by_ann, reach, everything = 0, [], {}, [], range(ring.size)
+        for a in everything:
             row = ring.mul_row(a)
-            ann = row.count(0)
-            if ann == 1:
+            hay, zero = row_scan(row, 0)
+            if (ann := hay.count(zero)) == 1:
                 whole += 1
             elif group := next((g for g in by_ann.get(ann, ()) if a in g[0]), None):
                 group[2] += ann
             else:
-                groups.append([frozenset(row), a, ann])
-                by_ann.setdefault(ann, []).append(groups[-1])
-        ring._principal = whole, tuple(map(tuple, groups))
+                groups.append(group := [frozenset(row), a, ann])
+                by_ann.setdefault(ann, []).append(group)
+            reach.append(everything if ann == 1 else group[0])
+        ring._principal = whole, tuple(map(tuple, groups)), tuple(reach)
     return ring._principal
 
 
@@ -133,9 +142,7 @@ def prob_annsum(ring: Ring, x: RingElement | int,
     """Annihilator-sum engine: add |ann_r(a)| whenever x lies in aR."""
     check_size_cap(ring, cap)
     xi = _index_of(ring, x)
-    whole, groups = _principal_partition(ring)
-    hits = whole + sum(ann for reached, _, ann in groups if xi in reached)
-    return ProbFraction(hits, ring.size ** 2)
+    return ProbFraction(annsum_counts(ring, cap=None)[xi], ring.size ** 2)
 
 
 def pair_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
@@ -156,15 +163,17 @@ def pair_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ..
 
 
 def annsum_counts(ring: Ring, cap: int | None = DEFAULT_SIZE_CAP) -> tuple[int, ...]:
-    """All-x analogue of prob_annsum (for cross-validation): x gets the
-    sum of |ann_r(a)| over the a with x in aR, added once per aR."""
+    """prob_annsum's hits at every x: the sum of |ann_r(a)| over the a
+    with x in aR, added once per aR; memoized on the ring instance."""
     check_size_cap(ring, cap)
-    whole, groups = _principal_partition(ring)
-    counts = [whole] * ring.size
-    for reached, _, ann in groups:
-        for x in reached:
-            counts[x] += ann
-    return tuple(counts)
+    if ring._annsum_counts is None:
+        whole, groups, _ = _principal_partition(ring)
+        counts = [whole] * ring.size
+        for reached, _, ann in groups:
+            for x in reached:
+                counts[x] += ann
+        ring._annsum_counts = tuple(counts)
+    return ring._annsum_counts
 
 
 class SpectrumEntry(Record):

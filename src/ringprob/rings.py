@@ -11,7 +11,8 @@ shares its parent's, any other quotient keeps those its coset check
 gathers).  Threads racing on a first access may each build a table, with
 equal results.  A row is a Sequence[int]: bytes up to 256 elements, where
 one row read through another is a single bytes.translate (_gather), and
-an array of shorts above; Z_n's rows are slices of a ruler.
+an array of shorts above, which row_scan reads as UTF-16 text to count,
+find or test a value in C; Z_n's rows are slices of a ruler.
 
 Additive presentation.  Each ring lists its summands, slowest first: an
 int m is a cyclic digit Z_m, and a ring is one opaque digit that adds
@@ -52,7 +53,9 @@ Element forms over _radices (or the index itself where it is empty):
 from __future__ import annotations
 
 import json
+import sys
 from array import array
+from codecs import utf_16_be_decode, utf_16_le_decode
 from collections.abc import Callable, Iterable, Sequence
 from functools import reduce
 from itertools import chain
@@ -94,6 +97,19 @@ def _join(size: int, pieces: Iterable[Sequence[int]]) -> Sequence[int]:
     return raw if size <= 256 else array("H", raw)
 
 
+_shorts_text = utf_16_le_decode if sys.byteorder == "little" else utf_16_be_decode
+
+
+def row_scan(row: Sequence[int], value: int) -> tuple[Sequence, int | str]:
+    """(haystack, needle) whose count, in and index scan row for value in
+    C.  A row of at most 0xD800 shorts holds no surrogate, so it is read
+    as UTF-16 text, one character per entry, and not kept; bytes and
+    longer arrays are scanned as they are."""
+    if type(row) is array and len(row) <= 0xD800:
+        return _shorts_text(row)[0], chr(value)
+    return row, value
+
+
 def _gather(table: Sequence[int], idx: Sequence[int]) -> Sequence[int]:
     """[table[i] for i in idx]: bytes by one C-level translate when both
     are bytes (each then at most 256 long), else a list."""
@@ -123,6 +139,7 @@ class Ring:
         self._invariants = None
         self._components = False
         self._pair_counts: tuple[int, ...] | None = None
+        self._annsum_counts: tuple[int, ...] | None = None
         self._spectrum = None
         self._principal = None
         self._formulas: dict = {}
@@ -139,10 +156,13 @@ class Ring:
             self._digits.append((stride, m, opaque))
             stride *= m
         self._cyclic = self.summands == (self.size,)
-        strides = [self.size]   # of each construction digit, slowest first
-        for m in self._radices:
-            strides.append(strides[-1] // m)
-        self._strides = tuple(strides[1:])
+        strides, fast = [], iter(self._digits)      # a construction digit spans whole summands
+        for m in reversed(self._radices):
+            stride, span, _ = next(fast)
+            while span < m:
+                span *= next(fast)[1]
+            strides.append(stride)
+        self._strides = tuple(reversed(strides))
 
     def _mul_table(self) -> bool:
         """Build the mul rows on the first multiplicative access; False for

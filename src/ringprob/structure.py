@@ -24,11 +24,11 @@ ring's d additive generators cost O(|I| * d) sums and products.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from operator import contains
 
 from ._record import Record
 from .errors import NotLocal
-from .rings import Ring, additive_closure, check_size_cap, validate_ideal
+from .rings import Ring, additive_closure, check_size_cap, row_scan, validate_ideal
 
 # What radical_layer raises at 0, here and in recipe.Invariants.
 _LAYER_OF_ZERO = "layer of 0 is not defined; every power contains it"
@@ -58,18 +58,7 @@ class Ideal(Record):
 def units(ring: Ring) -> frozenset[int]:
     """Indices with a multiplicative inverse (one-sided suffices here)."""
     one = ring.one_index
-    return frozenset(u for u in range(ring.size) if one in ring.mul_row(u))
-
-
-def _zero_positions(row) -> Iterable[int]:
-    start = 0
-    while True:
-        try:
-            pos = row.index(0, start)
-        except ValueError:
-            return
-        yield pos
-        start = pos + 1
+    return frozenset(u for u in range(ring.size) if contains(*row_scan(ring.mul_row(u), one)))
 
 
 def _divisor_flags(ring: Ring) -> tuple[list[bool], list[bool]]:
@@ -78,12 +67,13 @@ def _divisor_flags(ring: Ring) -> tuple[list[bool], list[bool]]:
     left = [False] * n
     right = [False] * n
     for a in range(n):
-        row = ring.mul_row(a)
-        if row.count(0) >= 2:        # a*0 = 0 always; a second zero is a witness
-            left[a] = True
-        if a != 0:
-            for x in _zero_positions(row):
-                right[x] = True
+        hay, zero = row_scan(ring.mul_row(a), 0)
+        zeros = hay.count(zero)
+        left[a] = zeros >= 2        # a*0 = 0 always; a second zero is a witness
+        pos = -1
+        for _ in range(zeros if a else 0):      # the zero positions of a nonzero a
+            pos = hay.index(zero, pos + 1)
+            right[pos] = True
     return left, right
 
 
@@ -257,7 +247,8 @@ def ideal_size_power_check(ring: Ring) -> bool:
         row = ring.mul_row(a)
         if not _is_power_of(len(set(row)), q):          # aR
             return False
-        if not _is_power_of(row.count(0), q):           # ann_r(a)
+        hay, zero = row_scan(row, 0)
+        if not _is_power_of(hay.count(zero), q):        # ann_r(a)
             return False
     return all(_is_power_of(len(set(ring.mul_column(x))), q) for x in range(n))  # Ra
 

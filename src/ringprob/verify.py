@@ -37,7 +37,7 @@ from .closedform import (
     prob_j2zero_formula,
     prob_matrix_formula,
     prob_unit_formula,
-    prob_zn,
+    zn_formula,
     corollary_43_predicates,
     corollary_44_predicate,
     subspace_count,
@@ -203,7 +203,7 @@ def _proper_principal_ideals(ring: Ring) -> list[frozenset[int]]:
     RgR = R(gR) depends on g only through gR, so only the first g of each
     proper gR in the ring's partition by gR is closed; that g is also the
     first to give its ideal, so the order is a closure of every g's."""
-    _, groups = _principal_partition(ring)
+    _, groups, _ = _principal_partition(ring)
     ideals = (principal_ideal_members(ring, g) for _, g, _ in groups)
     return list(dict.fromkeys(m for m in ideals if len(m) < ring.size))
 
@@ -379,7 +379,7 @@ def _zn_targets(corpus: Corpus) -> list[tuple[str, Ring]]:
 
 
 def _remark_zn(ring: Ring):
-    miss = _first_miss(ring, lambda x: (prob_zn(ring.n, x).value,
+    miss = _first_miss(ring, lambda x: (zn_formula(ring, x).value,
                                         f"split formula fails at x={x}"))
     return miss or f"{ring.n} targets"
 

@@ -106,6 +106,33 @@ class TestDelta:
         with pytest.raises(EnumerationLimitExceeded):
             delta(ring.element(3), ring.element(6))
 
+    @pytest.mark.parametrize("rings", [
+        "default corpus", "Z625", "M2(GF5)", "triv(4,3)", "corpus quotients"])
+    def test_partition_lookup_matches_the_row_at_every_pair(self, rings):
+        """Up to DEFAULT_SIZE_CAP delta reads aR off the partition by aR;
+        the oracle is the set of row a's entries."""
+        if rings == "default corpus":
+            group = [ring for _, ring in default_corpus()]
+        elif rings == "corpus quotients":
+            group = [quotient_make(ring, members) for _, ring in default_corpus()
+                     for members in _proper_principal_ideals(ring)]
+            assert len(group) == 71
+        else:
+            group = [parse_ring_spec(rings)]
+        for ring in group:
+            elements = [ring.element(i) for i in range(ring.size)]
+            for a in elements:
+                reached = frozenset(ring.mul_row(a.index))
+                want = [int(x.index in reached) for x in elements]
+                assert [delta(a, x) for x in elements] == want
+
+    def test_row_scan_above_the_size_cap(self):
+        ring = zmod(DEFAULT_SIZE_CAP + 1)         # 4097 = 17 * 241
+        for a, x in [(0, 0), (0, 5), (17, 34), (17, 35), (241, 482), (241, 4096), (4096, 1)]:
+            want = int(any(ring.mul_index(a, b) == x for b in range(ring.size)))
+            assert delta(ring.element(a), ring.element(x)) == want
+        assert ring._principal is None and ring._mul_rows is None
+
 
 class TestBrute:
     def test_z2_zero(self):
@@ -160,11 +187,10 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("rings", [
         "default corpus", "Z625", "M2(GF5)", "triv(4,3)", "corpus quotients"])
     def test_annsum_counts_match_single_target_engine(self, rings):
-        """annsum_counts walks the ring's partition by aR over every x;
-        prob_annsum reads the same partition for one x.  They agree at
-        every x, on rings of up to 625 elements and on the 71 quotients by
-        proper principal ideals.  Both read one partition, so the oracle
-        is test_annsum_matches_pair_counts_at_every_target."""
+        """prob_annsum reads its x off annsum_counts' memo, so this compares
+        one memo with itself at every x, on rings of up to 625 elements
+        and on the 71 quotients by proper principal ideals.  The oracle is
+        test_annsum_matches_pair_counts_at_every_target."""
         if rings == "default corpus":
             group = [ring for _, ring in default_corpus()]
         elif rings == "corpus quotients":
@@ -220,6 +246,15 @@ class TestMemo:
         with pytest.raises(SizeCapExceeded):
             spectrum(ring, cap=64)          # the memo does not lift the cap
 
+    def test_annsum_counts_are_memoized(self):
+        ring = zmod(72)
+        assert annsum_counts(ring) is annsum_counts(ring)
+        assert prob_annsum(ring, 6).hits == annsum_counts(ring)[6]
+        with pytest.raises(SizeCapExceeded):
+            annsum_counts(ring, cap=64)     # the memo does not lift the cap
+        with pytest.raises(SizeCapExceeded):
+            prob_annsum(ring, 6, cap=64)
+
     def test_memo_does_not_keep_the_ring_alive(self):
         # Z62 is built nowhere else in the suite, so no equal ring can
         # stand in for this instance in a cache keyed by ring equality.
@@ -227,6 +262,8 @@ class TestMemo:
         structure_report(ring)
         pair_counts(ring)
         spectrum(ring)
+        delta(ring.element(2), ring.element(4))
+        prob_annsum(ring, 4)
         ref = weakref.ref(ring)
         del ring
         gc.collect()
@@ -238,6 +275,7 @@ class TestMemo:
         prob_auto(ring, 2)
         prob_formula(ring, 4)
         prob_annsum(ring, 2)
+        delta(ring.element(2), ring.element(4))
         ref = weakref.ref(ring)
         del ring
         gc.collect()
@@ -310,12 +348,47 @@ class TestClassMemo:
             prob_formula(ring, 72)
         assert prob_auto(ring, 6) is result
 
-    def test_fallback_stores_nothing(self):
+    def test_fallback_stores_only_the_refusal(self):
         ring = parse_ring_spec(f"table:{fixture_path()}")
         for _ in range(2):
             result = prob_auto(ring, 0)
             assert (result.formula, result.value) == ("annsum", prob_brute(ring, 0))
-        assert ring._formula_at is None and ring._formulas == {}
+        assert ring._formulas == {}
+        assert ring._formula_at[0] == f"no closed form applies to {ring.describe()}"
+
+    @pytest.mark.parametrize("spec", ["table:<fixture>", "table:<fixture> x Z3"])
+    def test_refusal_is_classified_once_per_target(self, monkeypatch, spec):
+        """Two prob_auto passes at every x work out each target's class
+        once; each prob_formula refusal is a fresh FormulaUnavailable with
+        the first one's message."""
+        spec = spec.replace("<fixture>", fixture_path())
+        ring, fresh = parse_ring_spec(spec), parse_ring_spec(spec)
+        want = [prob_auto(fresh, x) for x in range(ring.size)]
+        assert "annsum" in {result.formula for result in want}
+        classify = closedform._formula_class
+        seen = []
+
+        def spy(r, xi):
+            if r is ring:
+                seen.append(xi)
+            return classify(r, xi)
+
+        monkeypatch.setattr(closedform, "_formula_class", spy)
+        for _ in range(2):
+            for x in range(ring.size):
+                result = prob_auto(ring, x)
+                assert (result.formula, result.value) == (want[x].formula, want[x].value)
+                assert result.value == prob_brute(ring, x)
+        assert seen == list(range(ring.size))
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(closedform.FormulaUnavailable) as info:
+                prob_formula(ring, 0)
+            refusals.append(info.value)
+        with pytest.raises(closedform.FormulaUnavailable) as direct:
+            classify(fresh, 0)
+        assert refusals[0] is not refusals[1]
+        assert str(refusals[1]) == str(refusals[0]) == str(direct.value)
 
     def test_partition_is_memoized(self):
         ring = zmod(64)

@@ -842,6 +842,50 @@ class TestSplitTables:
             assert list(ring.mul_row(a)) == [a * b % n for b in range(n)]
 
 
+class TestRowScan:
+    """rings.row_scan's count, membership and positions equal plain list
+    scans, on bytes rows, on tabled rows of shorts, and on per-call rows
+    on each side of 0xD800 entries, where a row of shorts stops being read
+    as UTF-16 text."""
+
+    @staticmethod
+    def assert_scans(row, values):
+        entries = list(row)
+        for value in values:
+            hay, needle = rings.row_scan(row, value)
+            assert hay.count(needle) == entries.count(value)
+            assert (needle in hay) == (value in entries)
+            positions, pos = [], -1
+            for _ in range(hay.count(needle)):
+                pos = hay.index(needle, pos + 1)
+                positions.append(pos)
+            with pytest.raises(ValueError):
+                hay.index(needle, pos + 1)
+            assert positions == [i for i, e in enumerate(entries) if e == value]
+
+    @pytest.mark.parametrize("spec", ["Z255", "Z256", "M2(GF3)", "table:<fixture> x Z32",
+                                      "Z625", "M2(GF5)", "M3(GF2)", "Z1024", "chain(2,10)"])
+    def test_tabled_rows(self, spec):
+        ring = parse_ring_spec(spec.replace("<fixture>", fixture_path()))
+        n = ring.size
+        rng = random.Random(spec)
+        for a in {0, 1, ring.one_index, n - 1, *rng.sample(range(n), 6)}:
+            row = ring.mul_row(a)
+            assert type(rings.row_scan(row, 0)[0]) is (bytes if n <= 256 else str)
+            self.assert_scans(row, {0, 1, ring.one_index, n - 1, row[-1], row[n // 2],
+                                    *rng.sample(range(n), 4)})
+
+    @pytest.mark.parametrize("n, scanned_as", [(0xD800, str), (0xD801, array), (60000, array)])
+    def test_per_call_rows_at_the_surrogate_boundary(self, n, scanned_as):
+        # row 1 of Z60000 holds 0xDBFF next to 0xDC00, which UTF-16 would
+        # read as one character
+        ring = zmod(n)
+        for a in (1, 2):
+            row = ring.mul_row(a)
+            assert type(rings.row_scan(row, 0)[0]) is scanned_as
+            self.assert_scans(row, {0, 1, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, n - 1} & set(range(n)))
+
+
 PER_CALL_SPECS = [
     "Z12", "GF9", "M2(GF2)", "chain(2,3)", "GR(2,2,2)", "triv(2,2)", "Z2 x Z4",
     "Z3 x M1(GF4)", "table:<fixture> x Z2",

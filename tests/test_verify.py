@@ -180,7 +180,7 @@ SABOTAGE = {
                 28, ("Z2", "unit + radical member is not a unit", "", "")),
     "thm46": ("thm46", "prob_chain_formula", _wrong_formula,
               17, ("Z2", "chain formula fails at x=#0", "0/1", "3/4")),
-    "remark_zn": ("remark_zn", "prob_zn", _wrong_formula,
+    "remark_zn": ("remark_zn", "zn_formula", _wrong_formula,
                   29, ("Z2", "split formula fails at x=0", "0/1", "3/4")),
     "thm48": ("thm48", "prob_j2zero_formula", _wrong_formula,
               16, ("Z2", "square-zero formula fails at x=#0", "0/1", "3/4")),
